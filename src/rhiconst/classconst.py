@@ -37,7 +37,6 @@ from typing import Iterable, Sequence
 
 from .core import Case, DomainError, ExponentPair, NumericError, SearchConfig, gamma_domain
 from .power import PowerRhiReport, power_report
-from ._util import ordered_parallel_map
 
 __all__ = [
     "ClassConstants",
@@ -52,14 +51,21 @@ __all__ = [
 ]
 
 
+def _pow2(exponent: float) -> float:
+    try:
+        return math.pow(2.0, exponent)
+    except OverflowError as exc:
+        raise NumericError(f"2**{exponent:.9g} overflows a double") from exc
+
+
 def general_upper_bound(pair: ExponentPair) -> float:
     """Proven ceiling on reflection growth over the whole input class."""
     case = pair.case
     if case is Case.POS_POS:
-        return math.pow(2.0, 1.0 / pair.alpha)
+        return _pow2(1.0 / pair.alpha)
     if case is Case.NEG_NEG:
-        return math.pow(2.0, -1.0 / pair.beta)
-    return math.pow(2.0, 1.0 / pair.beta - 1.0 / pair.alpha)
+        return _pow2(-1.0 / pair.beta)
+    return _pow2(1.0 / pair.beta - 1.0 / pair.alpha)
 
 
 def power_class_constant(pair: ExponentPair) -> tuple[float, str]:
@@ -68,15 +74,15 @@ def power_class_constant(pair: ExponentPair) -> tuple[float, str]:
     case = pair.case
     if case is Case.POS_POS:
         if a <= b / 2.0:
-            return math.pow(2.0, 1.0 / a - 1.0 / b), "pos_pos:alpha<=beta/2"
-        return math.pow(2.0, 1.0 / b), "pos_pos:alpha>beta/2"
+            return _pow2(1.0 / a - 1.0 / b), "pos_pos:alpha<=beta/2"
+        return _pow2(1.0 / b), "pos_pos:alpha>beta/2"
     if case is Case.NEG_NEG:
         if a <= 2.0 * b:
-            return math.pow(2.0, 1.0 / a - 1.0 / b), "neg_neg:alpha<=2*beta"
-        return math.pow(2.0, -1.0 / a), "neg_neg:alpha>2*beta"
+            return _pow2(1.0 / a - 1.0 / b), "neg_neg:alpha<=2*beta"
+        return _pow2(-1.0 / a), "neg_neg:alpha>2*beta"
     if b <= -a:
-        return math.pow(2.0, 1.0 / b), "neg_pos:beta<=-alpha"
-    return math.pow(2.0, -1.0 / a), "neg_pos:beta>-alpha"
+        return _pow2(1.0 / b), "neg_pos:beta<=-alpha"
+    return _pow2(-1.0 / a), "neg_pos:beta>-alpha"
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,7 @@ def gamma_sweep(
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise DomainError("gamma sweep needs at least one exponent")
-    return ordered_parallel_map(lambda g: power_report(pair, g, cfg), gammas)
+    return [power_report(pair, g, cfg) for g in gammas]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .classconst import class_constants, gamma_sweep
+from .classconst import class_constants, gamma_sweep, sharpness_table
 from .core import (
     DataError,
     DomainError,
@@ -102,6 +102,11 @@ def _record(command: str, inputs: dict, results: dict, diagnostics: dict) -> dic
         "results": results,
         "diagnostics": diagnostics,
     }
+
+
+def _table_rows(columns, records) -> list[dict]:
+    """One output row per record, read off its attributes named by columns."""
+    return [{c: getattr(rec, c) for c in columns} for rec in records]
 
 
 def _csv_text(columns, rows) -> str:
@@ -200,15 +205,9 @@ def _pair_from(args) -> ExponentPair:
 
 def _cmd_power(args) -> int:
     pair = _pair_from(args)
-    cfg = SearchConfig(opt_tol=args.tol, eps_grid=args.grid)
+    cfg = SearchConfig(eps_grid=args.grid)
     report = power_report(pair, args.gamma, cfg)
-    row = {
-        "gamma": report.gamma,
-        "eps_star": report.eps_star,
-        "curve_max": report.curve_max,
-        "halfline_constant": report.halfline_constant,
-        "extension_constant": report.extension_constant,
-    }
+    (row,) = _table_rows(_SWEEP_GAMMA_COLUMNS, [report])
     if args.format == "csv":
         _emit(_csv_text(_SWEEP_GAMMA_COLUMNS, [row]), args.out)
         return 0
@@ -219,7 +218,6 @@ def _cmd_power(args) -> int:
         {
             "residual_applicable": report.residual_applicable,
             "gamma_domain": str(gamma_domain(pair)),
-            "opt_tol": cfg.opt_tol,
             "eps_grid": cfg.eps_grid,
         },
     )
@@ -229,16 +227,11 @@ def _cmd_power(args) -> int:
 
 def _cmd_class(args) -> int:
     pair = _pair_from(args)
-    cc = class_constants(pair)
-    row = {
-        "beta": pair.beta,
-        "class_constant": cc.class_constant,
-        "upper_bound": cc.upper_bound,
-        "ratio": cc.sharpness_ratio,
-    }
     if args.format == "csv":
-        _emit(_csv_text(_SWEEP_BETA_COLUMNS, [row]), args.out)
+        rows = _table_rows(_SWEEP_BETA_COLUMNS, sharpness_table(pair.alpha, [pair.beta]))
+        _emit(_csv_text(_SWEEP_BETA_COLUMNS, rows), args.out)
         return 0
+    cc = class_constants(pair)
     record = _record(
         "class",
         {"alpha": pair.alpha, "beta": pair.beta},
@@ -260,21 +253,10 @@ def _cmd_sweep(args) -> int:
     if args.gamma is not None:
         if args.beta is None:
             raise DomainError("--gamma sweeps need a fixed --beta")
-        if args.ratio:
-            raise DomainError("--ratio applies only to --beta-seq sweeps")
         pair = ExponentPair(args.alpha, args.beta)
         gammas = _parse_sequence(args.gamma, args.spacing)
         columns = _SWEEP_GAMMA_COLUMNS
-        rows = [
-            {
-                "gamma": rep.gamma,
-                "eps_star": rep.eps_star,
-                "curve_max": rep.curve_max,
-                "halfline_constant": rep.halfline_constant,
-                "extension_constant": rep.extension_constant,
-            }
-            for rep in gamma_sweep(pair, gammas)
-        ]
+        rows = _table_rows(columns, gamma_sweep(pair, gammas))
         inputs = {
             "alpha": args.alpha,
             "beta": args.beta,
@@ -286,17 +268,7 @@ def _cmd_sweep(args) -> int:
             raise DomainError("--beta-seq sweeps take no fixed --beta")
         betas = _parse_sequence(args.beta_seq, args.spacing)
         columns = _SWEEP_BETA_COLUMNS
-        rows = []
-        for beta in betas:
-            cc = class_constants(ExponentPair(args.alpha, beta))
-            rows.append(
-                {
-                    "beta": beta,
-                    "class_constant": cc.class_constant,
-                    "upper_bound": cc.upper_bound,
-                    "ratio": cc.sharpness_ratio,
-                }
-            )
+        rows = _table_rows(columns, sharpness_table(args.alpha, betas))
         inputs = {
             "alpha": args.alpha,
             "beta_spec": args.beta_seq,
@@ -312,25 +284,21 @@ def _cmd_sweep(args) -> int:
 
 def _estimate_results(f: FunctionSpec, pair: ExponentPair, args) -> dict:
     cfg = SearchConfig()
-    if not args.extension:
-        est = estimate_halfline(f, pair, cfg)
-        return {
-            "halfline_value": est.value,
-            "halfline_witness_lo": est.witness.lo,
-            "halfline_witness_hi": est.witness.hi,
-            "halfline_converged": est.converged,
-            "halfline_search_points": est.search_points,
-            "reduction_certified": est.reduction_certified,
-        }
-    rep = extension_ratio(f, pair, cfg)
-    est, ext = rep.halfline, rep.extension
-    return {
+    rep = extension_ratio(f, pair, cfg) if args.extension else None
+    est = estimate_halfline(f, pair, cfg) if rep is None else rep.halfline
+    results = {
         "halfline_value": est.value,
         "halfline_witness_lo": est.witness.lo,
         "halfline_witness_hi": est.witness.hi,
         "halfline_converged": est.converged,
         "halfline_search_points": est.search_points,
         "reduction_certified": est.reduction_certified,
+    }
+    if rep is None:
+        return results
+    ext = rep.extension
+    return {
+        **results,
         "extension_value": ext.value,
         "extension_witness_lo": ext.witness.lo,
         "extension_witness_hi": ext.witness.hi,
@@ -409,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("power", help="closed-form constants for f(x)=x**gamma")
     add_common(p, fmt=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--tol", type=float, default=SearchConfig().opt_tol)
     p.add_argument("--grid", type=int, default=SearchConfig().eps_grid)
     p.set_defaults(handler=_cmd_power)
 
@@ -425,11 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--spacing",
         choices=("auto", "geometric", "linear", "approach"),
         default="auto",
-    )
-    p.add_argument(
-        "--ratio",
-        action="store_true",
-        help="with --beta-seq: emit the sharpness ratio table",
     )
     p.set_defaults(handler=_cmd_sweep)
 

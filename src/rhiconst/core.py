@@ -254,9 +254,6 @@ class SearchConfig:
         Seed points of the dense global grid used when maximizing the
         shape curve over [0, 1].  The grid is scanned in full before any
         local refinement because no unimodality guarantee exists.
-    opt_tol:
-        Convergence target for one-dimensional maximizers (bracket width
-        in the search variable).
     quad_tol:
         Mixed absolute/relative tolerance requested from quad_mean inside
         supremum searches.
@@ -279,7 +276,6 @@ class SearchConfig:
     """
 
     eps_grid: int = 4096
-    opt_tol: float = 1e-8
     quad_tol: float = 1e-8
     quad_max_levels: int = 12
     scale_min: float = 1e-3
@@ -294,8 +290,6 @@ class SearchConfig:
             raise DomainError("eps_grid must be at least 64")
         if self.interval_grid < 8:
             raise DomainError("interval_grid must be at least 8")
-        if not 0.0 < self.opt_tol < 1.0:
-            raise DomainError("opt_tol must lie in (0, 1)")
         if not 0.0 < self.quad_tol < 1.0:
             raise DomainError("quad_tol must lie in (0, 1)")
         if self.quad_max_levels < 2:

@@ -25,6 +25,7 @@ the full two-dimensional (start, width) search.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -112,74 +113,60 @@ class ExtensionRatio:
 
 
 # ---------------------------------------------------------------------------
-# Search engines
+# Search engine
 # ---------------------------------------------------------------------------
 #
-# ratio_at callables return -inf for intervals that cannot be evaluated
-# (overflow, exhausted quadrature, degenerate cells); the engines treat
-# those as plain non-maxima.  Coordinates are whatever the caller chose
-# (log-scale or linear); refinement is linear in that coordinate.
+# Intervals that cannot be evaluated (overflow, exhausted quadrature,
+# degenerate cells) score -inf and count as plain non-maxima.  Coordinates
+# are whatever the caller chose (log-scale or linear); refinement is
+# linear in that coordinate.
 
 
-def _search_1d(ratio_at, seeds, cfg: SearchConfig, lo_cap: float, hi_cap: float):
-    vals = [ratio_at(float(u)) for u in seeds]
-    i = int(np.argmax(vals))
-    best, best_u = vals[i], float(seeds[i])
+def _grid_refine(ratio_at, seeds, cfg: SearchConfig):
+    """Maximize ratio_at over the product of per-axis seed arrays.
+
+    The whole seed grid is scanned (last axis fastest) and the first
+    maximum becomes the incumbent, bracketed per axis by its neighbouring
+    seeds.  Each refinement round rescans a 9-point-per-axis stencil over
+    the brackets, in the same order, and moves the incumbent only on a
+    strict improvement.  A round that gains less than converge_rtol ends
+    the search; otherwise every bracket shrinks by refine_shrink around
+    the incumbent, clipped to the seed range of its axis.
+
+    Returns (point, best, evals, converged) with point a tuple of floats.
+    """
+    ratio_at = _guarded(ratio_at)
+    vals = [ratio_at(*map(float, p)) for p in itertools.product(*seeds)]
+    k = int(np.argmax(vals))
+    best = float(vals[k])
     if not math.isfinite(best):
         raise NumericError("no interval in the search family could be evaluated")
-    evals = len(seeds)
-    lo = float(seeds[i - 1]) if i > 0 else best_u
-    hi = float(seeds[i + 1]) if i + 1 < len(seeds) else best_u
+    index = np.unravel_index(k, [len(s) for s in seeds])
+    point = tuple(float(s[i]) for s, i in zip(seeds, index))
+    brackets = [
+        (float(s[i - 1]) if i > 0 else x, float(s[i + 1]) if i + 1 < len(s) else x)
+        for s, i, x in zip(seeds, index, point)
+    ]
+    evals = len(vals)
     converged = False
     for _ in range(cfg.refine_rounds):
         previous = best
-        for u in np.linspace(lo, hi, 9):
-            v = ratio_at(float(u))
+        stencil = [np.linspace(lo, hi, 9) for lo, hi in brackets]
+        for p in itertools.product(*stencil):
+            p = tuple(map(float, p))
+            r = ratio_at(*p)
             evals += 1
-            if v > best:
-                best, best_u = v, float(u)
+            if r > best:
+                best, point = r, p
         if (best - previous) / previous < cfg.converge_rtol:
             converged = True
             break
-        half = (hi - lo) / (2.0 * cfg.refine_shrink)
-        lo = max(lo_cap, best_u - half)
-        hi = min(hi_cap, best_u + half)
-    return best_u, best, evals, converged
-
-
-def _search_2d(ratio_at, useeds, vseeds, cfg: SearchConfig, ubox, vbox):
-    nu, nv = len(useeds), len(vseeds)
-    vals = np.full((nu, nv), -math.inf)
-    for i, u in enumerate(useeds):
-        for j, v in enumerate(vseeds):
-            vals[i, j] = ratio_at(float(u), float(v))
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best = float(vals[i, j])
-    if not math.isfinite(best):
-        raise NumericError("no interval in the search family could be evaluated")
-    best_u, best_v = float(useeds[i]), float(vseeds[j])
-    evals = nu * nv
-    ulo = float(useeds[i - 1]) if i > 0 else best_u
-    uhi = float(useeds[i + 1]) if i + 1 < nu else best_u
-    vlo = float(vseeds[j - 1]) if j > 0 else best_v
-    vhi = float(vseeds[j + 1]) if j + 1 < nv else best_v
-    converged = False
-    for _ in range(cfg.refine_rounds):
-        previous = best
-        for u in np.linspace(ulo, uhi, 9):
-            for v in np.linspace(vlo, vhi, 9):
-                r = ratio_at(float(u), float(v))
-                evals += 1
-                if r > best:
-                    best, best_u, best_v = r, float(u), float(v)
-        if (best - previous) / previous < cfg.converge_rtol:
-            converged = True
-            break
-        uhalf = (uhi - ulo) / (2.0 * cfg.refine_shrink)
-        vhalf = (vhi - vlo) / (2.0 * cfg.refine_shrink)
-        ulo, uhi = max(ubox[0], best_u - uhalf), min(ubox[1], best_u + uhalf)
-        vlo, vhi = max(vbox[0], best_v - vhalf), min(vbox[1], best_v + vhalf)
-    return best_u, best_v, best, evals, converged
+        halves = [(hi - lo) / (2.0 * cfg.refine_shrink) for lo, hi in brackets]
+        brackets = [
+            (max(float(s[0]), x - half), min(float(s[-1]), x + half))
+            for s, x, half in zip(seeds, point, halves)
+        ]
+    return point, best, evals, converged
 
 
 def _guarded(fn):
@@ -233,75 +220,49 @@ def estimate_halfline(
     dom_lo, dom_hi = f.domain
     tol, levels = cfg.quad_tol, cfg.quad_max_levels
 
-    monotone = f.monotonicity is not Monotonicity.UNKNOWN
-    if use_reduction and monotone and not isinstance(f, SampledTable):
+    def window(a: float, w: float) -> Interval:
+        # (a, a + e**w).  A right end past a table's last knot by rounding
+        # alone is clamped onto it; anything further out is not searched.
+        hi = a + math.exp(w)
+        if hi > dom_hi:
+            if hi > dom_hi * (1.0 + 1e-12):
+                raise DomainError("window leaves the data range")
+            hi = dom_hi
+        return Interval(a, hi)
 
-        def ratio_at(u: float) -> float:
-            return mean_ratio(f, Interval(0.0, math.exp(u)), pair, tol, levels)
+    def ratio_at(a: float, w: float) -> float:
+        return mean_ratio(f, window(a, w), pair, tol, levels)
 
-        seeds = np.linspace(math.log(cfg.scale_min), math.log(cfg.scale_max), cfg.interval_grid)
-        u, value, evals, converged = _search_1d(
-            _guarded(ratio_at), seeds, cfg, seeds[0], seeds[-1]
-        )
-        return SupremumEstimate(value, Interval(0.0, math.exp(u)), evals, converged)
-
-    if use_reduction and monotone:
-        # Bounded table: anchor at the left data edge.  The reduction to a
-        # one-dimensional family is not justified on a bounded domain, so
-        # the result is marked accordingly.
-        span = dom_hi - dom_lo
-
-        def ratio_at(u: float) -> float:
-            return mean_ratio(f, Interval(dom_lo, dom_lo + math.exp(u)), pair, tol, levels)
-
-        seeds = np.linspace(
-            math.log(span * _TABLE_WIDTH_FLOOR), math.log(span), cfg.interval_grid
-        )
-        u, value, evals, converged = _search_1d(
-            _guarded(ratio_at), seeds, cfg, seeds[0], seeds[-1]
-        )
-        return SupremumEstimate(
-            value,
-            Interval(dom_lo, dom_lo + math.exp(u)),
-            evals,
-            converged,
-            reduction_certified=False,
-        )
-
-    # Full 2-D search over (start, width).  The start axis is linear so a
-    # 0 anchor can participate; the width axis lives in log space.
+    # Starts are linear so a 0 anchor can participate.  Widths live in log
+    # space: the configured scale window on the half-line, down to a fixed
+    # fraction of the span on a table.
+    n = cfg.interval_grid
     if math.isinf(dom_hi):
-        starts = np.concatenate(
-            ([0.0], np.geomspace(cfg.scale_min, cfg.scale_max, cfg.interval_grid - 1))
-        )
-        wlo, whi = math.log(cfg.scale_min), math.log(cfg.scale_max)
+        starts = np.concatenate(([0.0], np.geomspace(cfg.scale_min, cfg.scale_max, n - 1)))
+        wseeds = np.linspace(math.log(cfg.scale_min), math.log(cfg.scale_max), n)
     else:
         span = dom_hi - dom_lo
         starts = dom_lo + span * np.concatenate(
-            ([0.0], np.geomspace(_TABLE_WIDTH_FLOOR, 1.0, cfg.interval_grid - 1)[:-1])
+            ([0.0], np.geomspace(_TABLE_WIDTH_FLOOR, 1.0, n - 1)[:-1])
         )
-        wlo, whi = math.log(span * _TABLE_WIDTH_FLOOR), math.log(span)
-    wseeds = np.linspace(wlo, whi, cfg.interval_grid)
+        wseeds = np.linspace(math.log(span * _TABLE_WIDTH_FLOOR), math.log(span), n)
 
-    def ratio_at2(a: float, w: float) -> float:
-        hi = a + math.exp(w)
-        if hi > dom_hi:
-            if hi <= dom_hi * (1.0 + 1e-12):
-                hi = dom_hi
-            else:
-                return -math.inf
-        return mean_ratio(f, Interval(a, hi), pair, tol, levels)
+    if use_reduction and f.monotonicity is not Monotonicity.UNKNOWN:
+        # A bounded table is anchored at its left data edge instead of 0.
+        # The reduction to a one-dimensional family is not justified on a
+        # bounded domain, so that result is marked accordingly.
+        table = isinstance(f, SampledTable)
+        anchor = dom_lo if table else 0.0
+        (w,), value, evals, converged = _grid_refine(
+            lambda w: ratio_at(anchor, w), [wseeds], cfg
+        )
+        return SupremumEstimate(
+            value, window(anchor, w), evals, converged, reduction_certified=not table
+        )
 
-    a, w, value, evals, converged = _search_2d(
-        _guarded(ratio_at2),
-        starts,
-        wseeds,
-        cfg,
-        (float(starts[0]), float(starts[-1])),
-        (wlo, whi),
-    )
-    hi = min(a + math.exp(w), dom_hi)
-    return SupremumEstimate(value, Interval(a, hi), evals, converged)
+    # Full 2-D search over (start, width).
+    (a, w), value, evals, converged = _grid_refine(ratio_at, [starts, wseeds], cfg)
+    return SupremumEstimate(value, window(a, w), evals, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -340,32 +301,23 @@ def estimate_extension(
     tol, levels = cfg.quad_tol, cfg.quad_max_levels
     extended = EvenExtensionView(f)
 
-    if isinstance(f, PowerLaw):
-
-        def ratio_at(eps: float) -> float:
-            return mean_ratio(extended, Interval(-eps, 1.0), pair, tol, levels)
-
-        eps, value, evals, converged = _search_1d(
-            _guarded(ratio_at), _eps_seeds(cfg.interval_grid), cfg, 0.0, 1.0
-        )
-        return SupremumEstimate(value, Interval(-eps, 1.0), evals, converged)
-
-    bseeds = np.linspace(math.log(cfg.scale_min), math.log(cfg.scale_max), cfg.interval_grid)
-
-    def ratio_at2(eps: float, w: float) -> float:
+    def straddle(eps: float, w: float) -> Interval:
         b = math.exp(w)
-        return mean_ratio(extended, Interval(-eps * b, b), pair, tol, levels)
+        return Interval(-eps * b, b)
 
-    eps, w, value, evals, converged = _search_2d(
-        _guarded(ratio_at2),
-        _eps_seeds(cfg.interval_grid),
-        bseeds,
-        cfg,
-        (0.0, 1.0),
-        (float(bseeds[0]), float(bseeds[-1])),
-    )
-    b = math.exp(w)
-    return SupremumEstimate(value, Interval(-eps * b, b), evals, converged)
+    def ratio_at(eps: float, w: float) -> float:
+        return mean_ratio(extended, straddle(eps, w), pair, tol, levels)
+
+    eps_seeds = _eps_seeds(cfg.interval_grid)
+    if isinstance(f, PowerLaw):
+        (eps,), value, evals, converged = _grid_refine(
+            lambda eps: ratio_at(eps, 0.0), [eps_seeds], cfg
+        )
+        point = (eps, 0.0)
+    else:
+        bseeds = np.linspace(math.log(cfg.scale_min), math.log(cfg.scale_max), cfg.interval_grid)
+        point, value, evals, converged = _grid_refine(ratio_at, [eps_seeds, bseeds], cfg)
+    return SupremumEstimate(value, straddle(*point), evals, converged)
 
 
 def extension_ratio(

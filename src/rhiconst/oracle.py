@@ -40,7 +40,6 @@ from .core import (
     NumericError,
 )
 from .means import FunctionSpec, SampledTable
-from ._util import ordered_parallel_map
 
 __all__ = [
     "OracleConfig",
@@ -226,7 +225,7 @@ def brute_halfline(
             best = max(best, lb - la)
         return best
 
-    best = max(ordered_parallel_map(row_best, list(starts)))
+    best = max(row_best(start) for start in starts)
     if not math.isfinite(best):
         raise NumericError("no admissible interval produced finite means")
     return math.exp(best)

@@ -60,10 +60,16 @@ def halfline_constant(pair: ExponentPair, gamma: float) -> float:
     boundary and returns exactly 1.0 at gamma = 0.
     """
     gamma = pair.require_gamma(gamma)
-    return math.exp(
+    log_h = (
         math.log1p(gamma * pair.alpha) / pair.alpha
         - math.log1p(gamma * pair.beta) / pair.beta
     )
+    try:
+        return math.exp(log_h)
+    except OverflowError as exc:
+        raise NumericError(
+            f"half-line constant exp({log_h:.9g}) overflows a double"
+        ) from exc
 
 
 def curve_values(pair: ExponentPair, gamma: float, eps) -> np.ndarray:
@@ -187,7 +193,9 @@ def _newton_polish(pair: ExponentPair, gamma: float, x0: float, lo: float, hi: f
 
     Steps leaving (lo, hi) or failing to stay finite abandon the polish and
     the caller keeps the golden-section result, so this can only improve
-    the maximizer.
+    the maximizer.  A derivative that overflows means x is below about
+    1e-154, where neither the grid nor the polish resolves the maximizer;
+    that raises NumericError.
     """
     x = x0
     for _ in range(60):
@@ -196,7 +204,12 @@ def _newton_polish(pair: ExponentPair, gamma: float, x0: float, lo: float, hi: f
         scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
         if abs(r) <= 1e-14 * scale:
             return x
-        rp = _residual_derivative(pair, gamma, x)
+        try:
+            rp = _residual_derivative(pair, gamma, x)
+        except OverflowError as exc:
+            raise NumericError(
+                f"shape-curve maximizer near eps={x:.3g} is too close to 0 to resolve"
+            ) from exc
         if rp == 0.0 or not math.isfinite(rp):
             return x
         xn = x - r / rp

@@ -108,6 +108,14 @@ def test_class_constants_validation():
         )
 
 
+def test_constants_beyond_double_range_raise_numeric_error():
+    # 2**(1/alpha) and 2**(1/alpha - 1/beta) overflow for alpha = 1e-4.
+    with pytest.raises(NumericError):
+        general_upper_bound(ExponentPair(1e-4, 2.0))
+    with pytest.raises(NumericError):
+        power_class_constant(ExponentPair(1e-4, 2e-3))
+
+
 def test_approach_sequence_toward_finite_boundary():
     pair = ExponentPair(1.0, 2.0)
     seq = gamma_approach_sequence(pair, -0.5, 8)

@@ -103,6 +103,24 @@ def test_class_rejects_disordered_pair(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("class", "--alpha", "0.0001", "--beta", "2"),
+        ("power", "--alpha", "-97.196", "--beta", "0.0023785", "--gamma", "-420.42"),
+        # The shape-curve maximizer lies near eps = 1e-384.
+        (
+            "power", "--alpha", "-1.1533436194361446", "--beta", "-1.1526183695149625",
+            "--gamma", "0.8660434232677972",
+        ),
+    ],
+)
+def test_closed_form_overflow_is_numeric_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("numeric error:")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -267,9 +285,14 @@ def test_verify_power_suite_passes(capsys):
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "spectral"])
-    assert exc.value.code == 2
+    for argv in (
+        ["verify", "--suite", "spectral"],
+        ["power", "--alpha", "1", "--beta", "2", "--gamma", "1", "--tol", "0.1"],
+        ["sweep", "--alpha", "1", "--beta-seq", "2:4:3", "--ratio"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):

@@ -154,8 +154,6 @@ def test_search_config_validation():
     bad = [
         dict(eps_grid=63),
         dict(interval_grid=7),
-        dict(opt_tol=0.0),
-        dict(opt_tol=1.0),
         dict(quad_tol=-1e-9),
         dict(quad_max_levels=1),
         dict(scale_min=0.0),

@@ -115,12 +115,23 @@ def test_estimates_agree_with_brute_force():
 
 def test_table_reduction_is_flagged_uncertified():
     xs = np.linspace(0.5, 8.0, 120)
-    tbl = SampledTable(xs, xs**2 + 1.0, Monotonicity.INCREASING)
-    est = estimate_halfline(tbl, ExponentPair(1.0, 2.0), CFG)
-    assert not est.reduction_certified
-    assert est.witness.lo == 0.5
-    again = quad_mean(tbl, est.witness, 2.0).value / quad_mean(tbl, est.witness, 1.0).value
-    assert math.isclose(again, est.value, rel_tol=1e-8)
+    tables = [
+        SampledTable(xs, xs**2 + 1.0, Monotonicity.INCREASING),
+        # 0.1 + exp(log(7.9)) rounds above the last knot; the widest window
+        # must be clamped onto it rather than rejected.
+        SampledTable(
+            np.array([0.1, 0.5, 1.0, 2.0, 4.0, 8.0]),
+            np.array([1.0, 1.7, 2.2, 3.1, 3.3, 5.0]),
+            Monotonicity.INCREASING,
+        ),
+    ]
+    for tbl in tables:
+        est = estimate_halfline(tbl, ExponentPair(1.0, 2.0), CFG)
+        assert not est.reduction_certified
+        assert est.witness.lo == tbl.domain[0]
+        assert est.witness.hi <= tbl.domain[1]
+        again = quad_mean(tbl, est.witness, 2.0).value / quad_mean(tbl, est.witness, 1.0).value
+        assert math.isclose(again, est.value, rel_tol=1e-8)
 
 
 def test_table_without_declared_monotonicity_gets_full_search():
@@ -130,6 +141,34 @@ def test_table_without_declared_monotonicity_gets_full_search():
     assert est.reduction_certified  # no reduction was applied
     assert est.value >= 1.0
     assert est.witness.lo >= 0.5 and est.witness.hi <= 4.0
+
+
+@pytest.mark.parametrize(
+    "search, expected",
+    [
+        (
+            lambda: estimate_extension(PowerLaw(1.0), ExponentPair(1.0, 2.0)),
+            (1.224742334458833, -0.2698412698412698, 1.0, 89, True),
+        ),
+        (
+            lambda: estimate_halfline(AffinePower(2.0, 0.5, 1.0), ExponentPair(-1.0, 1.0)),
+            (1.275117068507732, 0.0, 999.9999999999998, 73, True),
+        ),
+        (
+            lambda: estimate_halfline(
+                ExpDecay(1.0), ExponentPair(1.0, 2.0), use_reduction=False
+            ),
+            (22.360679774998193, 68.97785379387658, 1068.9778537938764, 4177, True),
+        ),
+    ],
+    ids=["pow-extension-1d", "affpow-halfline-1d", "expdecay-halfline-2d"],
+)
+def test_default_searches_are_pinned(search, expected):
+    # Exact results on the default grids: any change in seed grids,
+    # stencil order, tie-breaking or bracket clipping shows up here.
+    est = search()
+    got = (est.value, est.witness.lo, est.witness.hi, est.search_points, est.converged)
+    assert got == expected
 
 
 def test_table_extension_is_rejected():

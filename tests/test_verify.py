@@ -5,15 +5,18 @@ import pytest
 from rhiconst.verify import SUITE_NAMES, CheckResult, run_suite
 
 
-def test_all_suites_pass():
-    results = run_suite("all", seed=0)
+@pytest.fixture(scope="module")
+def results():
+    return run_suite("all", seed=0)
+
+
+def test_all_suites_pass(results):
     failed = [r for r in results if not r.passed]
     assert not failed, [f"{r.name}: {r.detail}" for r in failed]
     assert len(results) >= 30
 
 
-def test_check_names_carry_suite_prefix():
-    results = run_suite("all", seed=0)
+def test_check_names_carry_suite_prefix(results):
     prefixes = {r.name.split(".")[0] for r in results}
     assert prefixes == set(SUITE_NAMES)
 
