@@ -55,6 +55,7 @@ from .means import (
     PowerLaw,
     SampledTable,
     mean_ratio,
+    mean_ratios,
     power_mean_closed,
     quad_mean,
     table_from_csv,
@@ -115,6 +116,7 @@ __all__ = [
     "halfline_constant",
     "maximize_curve",
     "mean_ratio",
+    "mean_ratios",
     "power_class_constant",
     "power_mean_closed",
     "power_report",

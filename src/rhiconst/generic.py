@@ -25,7 +25,6 @@ the full two-dimensional (start, width) search.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +47,7 @@ from .means import (
     PowerLaw,
     SampledTable,
     mean_ratio,
+    mean_ratios,
 )
 
 __all__ = [
@@ -64,6 +64,10 @@ _TABLE_WIDTH_FLOOR = 1e-6
 
 # Smallest straddle fraction seeded below the uniform eps grid.
 _EPS_TAIL_FLOOR = 1e-6
+
+# Most points scored by one batched quadrature pass.  A pass holds some
+# state per interval, so this bounds memory whatever the grid size.
+_SCORE_SLICE = 256
 
 
 @dataclass(frozen=True)
@@ -116,33 +120,42 @@ class ExtensionRatio:
 # Search engine
 # ---------------------------------------------------------------------------
 #
-# Intervals that cannot be evaluated (overflow, exhausted quadrature,
-# degenerate cells) score -inf and count as plain non-maxima.  Coordinates
-# are whatever the caller chose (log-scale or linear); refinement is
-# linear in that coordinate.
+# The engine scores whole point sets at once: score(points) maps an
+# (n, d) array of coordinates to n mean ratios, so the seed grid and each
+# refinement stencil cost one batched quadrature pass (means.mean_ratios)
+# instead of one Python call per interval.  Points whose interval cannot
+# be built or evaluated (overflow, exhausted quadrature, degenerate
+# cells) score -inf, never NaN, and count as plain non-maxima.
+# Coordinates are whatever the caller chose (log-scale or linear);
+# refinement is linear in that coordinate.
 
 
-def _grid_refine(ratio_at, seeds, cfg: SearchConfig):
-    """Maximize ratio_at over the product of per-axis seed arrays.
+def _product(axes) -> np.ndarray:
+    """Every combination of the axes' values as rows, last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
-    The whole seed grid is scanned (last axis fastest) and the first
-    maximum becomes the incumbent, bracketed per axis by its neighbouring
-    seeds.  Each refinement round rescans a 9-point-per-axis stencil over
-    the brackets, in the same order, and moves the incumbent only on a
+
+def _grid_refine(score, seeds, cfg: SearchConfig):
+    """Maximize a vectorised score over the product of per-axis seed arrays.
+
+    The whole seed grid is scored and the first maximum becomes the
+    incumbent, bracketed per axis by its neighbouring seeds.  Each
+    refinement round scores a 9-point-per-axis stencil over the brackets
+    and moves the incumbent to the stencil's first maximum only on a
     strict improvement.  A round that gains less than converge_rtol ends
     the search; otherwise every bracket shrinks by refine_shrink around
     the incumbent, clipped to the seed range of its axis.
 
     Returns (point, best, evals, converged) with point a tuple of floats.
     """
-    ratio_at = _guarded(ratio_at)
-    vals = [ratio_at(*map(float, p)) for p in itertools.product(*seeds)]
+    grid = _product(seeds)
+    vals = score(grid)
     k = int(np.argmax(vals))
     best = float(vals[k])
     if not math.isfinite(best):
         raise NumericError("no interval in the search family could be evaluated")
     index = np.unravel_index(k, [len(s) for s in seeds])
-    point = tuple(float(s[i]) for s, i in zip(seeds, index))
+    point = tuple(grid[k].tolist())
     brackets = [
         (float(s[i - 1]) if i > 0 else x, float(s[i + 1]) if i + 1 < len(s) else x)
         for s, i, x in zip(seeds, index, point)
@@ -151,13 +164,12 @@ def _grid_refine(ratio_at, seeds, cfg: SearchConfig):
     converged = False
     for _ in range(cfg.refine_rounds):
         previous = best
-        stencil = [np.linspace(lo, hi, 9) for lo, hi in brackets]
-        for p in itertools.product(*stencil):
-            p = tuple(map(float, p))
-            r = ratio_at(*p)
-            evals += 1
-            if r > best:
-                best, point = r, p
+        stencil = _product([np.linspace(lo, hi, 9) for lo, hi in brackets])
+        vals = score(stencil)
+        evals += len(vals)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, point = float(vals[k]), tuple(stencil[k].tolist())
         if (best - previous) / previous < cfg.converge_rtol:
             converged = True
             break
@@ -169,16 +181,36 @@ def _grid_refine(ratio_at, seeds, cfg: SearchConfig):
     return point, best, evals, converged
 
 
-def _guarded(fn):
-    """Wrap a ratio evaluation; degenerate cells become -inf."""
+def _search(f: FunctionSpec, pair: ExponentPair, cfg: SearchConfig, interval_at, seeds):
+    """Largest mean ratio of f over the intervals interval_at(*point).
 
-    def call(*args):
-        try:
-            return fn(*args)
-        except (DomainError, NumericError, QuadratureError):
-            return -math.inf
+    Returns (value, witness, evals, converged).  The witness is scored
+    once more by the scalar mean_ratio, which must give the batched value
+    exactly.
+    """
+    tol, levels = cfg.quad_tol, cfg.quad_max_levels
 
-    return call
+    def score_slice(points: np.ndarray) -> np.ndarray:
+        scores = np.full(len(points), -math.inf)
+        rows, intervals = [], []
+        for row, point in enumerate(points.tolist()):
+            try:
+                intervals.append(interval_at(*point))
+            except (DomainError, NumericError, QuadratureError):
+                continue
+            rows.append(row)
+        scores[rows] = mean_ratios(f, intervals, pair, tol, levels)
+        return scores
+
+    def score(points: np.ndarray) -> np.ndarray:
+        starts = range(0, len(points), _SCORE_SLICE)
+        return np.concatenate([score_slice(points[i : i + _SCORE_SLICE]) for i in starts])
+
+    point, value, evals, converged = _grid_refine(score, seeds, cfg)
+    witness = interval_at(*point)
+    if mean_ratio(f, witness, pair, tol, levels) != value:
+        raise NumericError("the witness does not reproduce its batched score")
+    return value, witness, evals, converged
 
 
 def _check_input(f: FunctionSpec, pair: ExponentPair, touches_origin: bool) -> None:
@@ -218,7 +250,6 @@ def estimate_halfline(
     cfg = cfg or SearchConfig()
     _check_input(f, pair, touches_origin=True)
     dom_lo, dom_hi = f.domain
-    tol, levels = cfg.quad_tol, cfg.quad_max_levels
 
     def window(a: float, w: float) -> Interval:
         # (a, a + e**w).  A right end past a table's last knot by rounding
@@ -229,9 +260,6 @@ def estimate_halfline(
                 raise DomainError("window leaves the data range")
             hi = dom_hi
         return Interval(a, hi)
-
-    def ratio_at(a: float, w: float) -> float:
-        return mean_ratio(f, window(a, w), pair, tol, levels)
 
     # Starts are linear so a 0 anchor can participate.  Widths live in log
     # space: the configured scale window on the half-line, down to a fixed
@@ -253,16 +281,11 @@ def estimate_halfline(
         # bounded domain, so that result is marked accordingly.
         table = isinstance(f, SampledTable)
         anchor = dom_lo if table else 0.0
-        (w,), value, evals, converged = _grid_refine(
-            lambda w: ratio_at(anchor, w), [wseeds], cfg
-        )
-        return SupremumEstimate(
-            value, window(anchor, w), evals, converged, reduction_certified=not table
-        )
+        found = _search(f, pair, cfg, lambda w: window(anchor, w), [wseeds])
+        return SupremumEstimate(*found, reduction_certified=not table)
 
     # Full 2-D search over (start, width).
-    (a, w), value, evals, converged = _grid_refine(ratio_at, [starts, wseeds], cfg)
-    return SupremumEstimate(value, window(a, w), evals, converged)
+    return SupremumEstimate(*_search(f, pair, cfg, window, [starts, wseeds]))
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +321,17 @@ def estimate_extension(
     if isinstance(f, EvenExtensionView):
         raise DomainError("input is already an even extension")
     _check_input(f, pair, touches_origin=True)
-    tol, levels = cfg.quad_tol, cfg.quad_max_levels
     extended = EvenExtensionView(f)
 
-    def straddle(eps: float, w: float) -> Interval:
+    def straddle(eps: float, w: float = 0.0) -> Interval:
         b = math.exp(w)
         return Interval(-eps * b, b)
 
-    def ratio_at(eps: float, w: float) -> float:
-        return mean_ratio(extended, straddle(eps, w), pair, tol, levels)
-
     eps_seeds = _eps_seeds(cfg.interval_grid)
     if isinstance(f, PowerLaw):
-        (eps,), value, evals, converged = _grid_refine(
-            lambda eps: ratio_at(eps, 0.0), [eps_seeds], cfg
-        )
-        point = (eps, 0.0)
-    else:
-        bseeds = np.linspace(math.log(cfg.scale_min), math.log(cfg.scale_max), cfg.interval_grid)
-        point, value, evals, converged = _grid_refine(ratio_at, [eps_seeds, bseeds], cfg)
-    return SupremumEstimate(value, straddle(*point), evals, converged)
+        return SupremumEstimate(*_search(extended, pair, cfg, straddle, [eps_seeds]))
+    bseeds = np.linspace(math.log(cfg.scale_min), math.log(cfg.scale_max), cfg.interval_grid)
+    return SupremumEstimate(*_search(extended, pair, cfg, straddle, [eps_seeds, bseeds]))
 
 
 def extension_ratio(

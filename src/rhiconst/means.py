@@ -17,10 +17,26 @@ integrated after the substitution x = T * u**p with p chosen from the known
 power behavior of f**r near 0, which turns an integrable endpoint blowup
 into a function vanishing at least quadratically; the u-mesh is graded
 geometrically toward 0.  Interior segments use linear or geometric panels
-depending on the endpoint ratio.  The mesh is refined by whole levels and
-the error estimate is the difference between the last two levels.  Inputs
-never get evaluated at panel edges, only at interior Gauss nodes, so an
-endpoint blowup of f itself is harmless.
+depending on the endpoint ratio, and table windows put an edge on every
+knot inside them.  The mesh is refined by whole levels and the error
+estimate is the difference between the last two levels.  Inputs never get
+evaluated at panel edges, only at interior Gauss nodes, so an endpoint
+blowup of f itself is harmless.
+
+Every mean is a row of one batched pass: all (interval, order) rows
+advance a level together, and the segments of the rows still refining
+are integrated in rectangular blocks of one rule and mesh size (origin-
+anchored segments share their u-mesh and differ only in scale; table
+windows are grouped by how many knots they contain).  A block is cut into
+chunks of at most _NODE_BUDGET nodes per integrand call, which bounds
+memory whatever the batch size.  Each row is summed on its own and keeps
+the scalar convergence test, so a row's value does not depend on the
+batch it is in; quad_mean and mean_ratio are batches of one, mean_ratios
+scores many intervals at once.  mean_ratio asks each mean for tol/3 and,
+for a mean below 1, for tol/3 times that mean: such a row continues from
+the level it reached under the tighter test instead of starting over,
+which ends at the same level with the same value, because a tighter test
+cannot pass earlier.
 
 0**r is treated as 0 for r > 0.  For r < 0 it is inadmissible and the
 entry points reject the configurations that would produce it.
@@ -42,6 +58,7 @@ from .core import (
     Interval,
     NumericError,
     QuadratureError,
+    RhiError,
 )
 
 __all__ = [
@@ -54,6 +71,7 @@ __all__ = [
     "PowerLaw",
     "SampledTable",
     "mean_ratio",
+    "mean_ratios",
     "power_mean_closed",
     "quad_mean",
     "table_from_csv",
@@ -375,22 +393,29 @@ class MeanValue:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+# Most quadrature nodes handed to one integrand call.  Rows are never
+# split, so a row with more nodes than this is integrated alone.
+_NODE_BUDGET = 1 << 14
 
-def _composite_gl(fn, edges: np.ndarray) -> float:
-    """Gauss-Legendre on each cell of ``edges``; nodes stay strictly interior."""
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    # Deliberately quiet: an overflowing cell makes the total non-finite,
-    # which raises right below with a clearer message than the warning.
-    # divide fires when a deep exp tail underflows to 0 under a negative
-    # order and is handled the same way.
+
+def _gl_rows(fo, edges: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre on the cells of each row of ``edges``, one sum per row.
+
+    Nodes stay strictly interior.  Each row is summed over its own
+    contiguous block, so its total does not depend on the other rows.
+    """
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    # Deliberately quiet: an overflowing cell makes its row's total
+    # non-finite, which fails the row with a clearer message than the
+    # warning.  divide fires when a deep exp tail underflows to 0 under a
+    # negative order and is handled the same way.  The products are taken
+    # in place so that few node-sized arrays are alive at once.
     with np.errstate(over="ignore", divide="ignore"):
-        vals = fn(x.ravel()).reshape(x.shape)
-        total = float(np.sum((half[:, None] * _GL_WEIGHTS[None, :]) * vals))
-    if not math.isfinite(total):
-        raise NumericError("integrand overflowed during quadrature")
-    return total
+        vals = fo((mid[:, :, None] + half[:, :, None] * _GL_NODES).ravel())
+        weighted = (half[:, :, None] * _GL_WEIGHTS).reshape(len(edges), -1)
+        weighted *= vals.reshape(weighted.shape)
+        return np.sum(weighted, axis=1)
 
 
 def _substitution_exponent(s: float | None) -> float:
@@ -403,77 +428,233 @@ def _substitution_exponent(s: float | None) -> float:
     return min(max(3.0 / (s + 1.0), 2.0), 40.0)
 
 
-def _zero_anchored_integral(fo, hi: float, s: float | None, level: int) -> float:
+def _zero_anchored_rows(fo, his: np.ndarray, s: float | None, level: int) -> np.ndarray:
     p = _substitution_exponent(s)
     m = 10 + 4 * level
     edges = np.concatenate(([0.0], 2.0 ** -np.arange(m, -1.0, -1.0)))
     if p == 1.0:
-        return _composite_gl(fo, hi * edges)
-
-    def transformed(u: np.ndarray) -> np.ndarray:
-        return p * hi * u ** (p - 1.0) * fo(hi * u**p)
-
-    return _composite_gl(transformed, edges)
-
-
-def _interior_integral(fo, lo: float, hi: float, level: int) -> float:
-    n = 16 << level
-    if hi / lo > 10.0:
-        edges = np.geomspace(lo, hi, n + 1)
-    else:
-        edges = np.linspace(lo, hi, n + 1)
-    return _composite_gl(fo, edges)
+        return _gl_rows(fo, his[:, None] * edges)
+    # x = hi * u**p: the u-mesh is shared, only the scale differs per row.
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    with np.errstate(over="ignore", divide="ignore"):
+        weighted = (p * his)[:, None] * u ** (p - 1.0)
+        weighted *= fo((his[:, None] * u**p).ravel()).reshape(weighted.shape)
+        weighted *= (half[:, None] * _GL_WEIGHTS).ravel()
+        return np.sum(weighted, axis=1)
 
 
-def _table_integral(fo, table: SampledTable, lo: float, hi: float, level: int) -> float:
+def _interior_rows(fo, los, his, geometric: bool, level: int) -> np.ndarray:
+    space = np.geomspace if geometric else np.linspace
+    return _gl_rows(fo, space(los, his, (16 << level) + 1, axis=1))
+
+
+def _table_rows(fo, xs, los, his, first, knots: int, level: int) -> np.ndarray:
     # The integrand is smooth only between knots, so every knot becomes a
-    # mesh edge and cells are split uniformly per level.
-    inner = table.xs[(table.xs > lo) & (table.xs < hi)]
-    base = np.concatenate(([lo], inner, [hi]))
-    splits = 2 << level
-    edges = (base[:-1, None] + np.diff(base)[:, None] * np.linspace(0.0, 1.0, splits + 1)[None, :])
-    edges = np.concatenate((edges[:, :-1].ravel(), [hi]))
-    return _composite_gl(fo, edges)
+    # mesh edge and each piece is split uniformly per level.  All rows
+    # hold the same number of inner knots, xs[first:first + knots].
+    base = np.column_stack((los, xs[first[:, None] + np.arange(knots)], his))
+    splits = np.linspace(0.0, 1.0, (2 << level) + 1)
+    edges = base[:, :-1, None] + np.diff(base, axis=1)[:, :, None] * splits
+    return _gl_rows(fo, np.column_stack((edges[:, :, :-1].reshape(len(los), -1), his)))
 
 
-def _segments(f: FunctionSpec, interval: Interval) -> tuple[FunctionSpec, list[tuple[float, float]]]:
-    """Fold an interval onto the base input's half-line domain."""
-    lo, hi = interval.lo, interval.hi
+def _pieces(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray):
+    """Fold intervals (lo[i], hi[i]) onto the base input's half-line domain.
+
+    Returns (owner, position, piece lo, piece hi, errors): an interval
+    straddling 0 under an even extension folds into two origin-anchored
+    pieces, any other into one; errors maps the intervals that cannot be
+    folded to their RhiError.
+    """
+    n = len(lo)
     if isinstance(f, EvenExtensionView):
-        base = f.base
-        if lo >= 0.0:
-            segs = [(lo, hi)]
-        elif hi <= 0.0:
-            segs = [(-hi, -lo)]
-        else:
-            segs = [(0.0, -lo), (0.0, hi)]
-        return base, segs
-    if lo < 0.0:
-        raise DomainError(
-            "interval extends below 0; wrap the input in EvenExtensionView first"
-        )
-    return f, [(lo, hi)]
+        right = lo >= 0.0
+        left = ~right & (hi <= 0.0)
+        straddle = np.flatnonzero(~right & ~left)
+        owner = np.concatenate((np.arange(n), straddle))
+        pos = np.repeat([0, 1], [n, len(straddle)])
+        first_lo = np.where(right, lo, np.where(left, -hi, 0.0))
+        piece_lo = np.concatenate((first_lo, np.zeros(len(straddle))))
+        piece_hi = np.concatenate((np.where(right, hi, -lo), hi[straddle]))
+        return owner, pos, piece_lo, piece_hi, {}
+    inside = lo >= 0.0
+    owner = np.flatnonzero(inside)
+    exc = DomainError("interval extends below 0; wrap the input in EvenExtensionView first")
+    errors = dict.fromkeys(np.flatnonzero(~inside).tolist(), exc)
+    return owner, np.zeros(len(owner), dtype=int), lo[inside], hi[inside], errors
 
 
-def _check_segment(base: FunctionSpec, order: float, lo: float, hi: float) -> None:
-    dom_lo, dom_hi = base.domain
+def _piece_errors(base: FunctionSpec, order: float, lo, hi) -> dict[int, RhiError]:
+    """The error a mean of this order over piece (lo[q], hi[q]) raises, by q."""
     if isinstance(base, SampledTable):
-        if lo < dom_lo or hi > dom_hi:
-            raise DataError(
-                f"interval ({lo:g}, {hi:g}) leaves the table range"
+        dom_lo, dom_hi = base.domain
+        errors: dict[int, RhiError] = {
+            q: DataError(
+                f"interval ({lo[q]:g}, {hi[q]:g}) leaves the table range"
                 f" [{dom_lo:g}, {dom_hi:g}]; no extrapolation is performed"
             )
+            for q in np.flatnonzero((lo < dom_lo) | (hi > dom_hi)).tolist()
+        }
         if order < 0.0 and not base.strictly_positive:
-            raise DomainError(
-                "negative-order mean of a table containing zero values"
-            )
-        return
-    if lo == 0.0:
-        s = base.zero_power_exponent(order)
-        if s is not None and s <= -1.0:
-            raise DomainError(
-                f"f**{order:g} behaves like x**{s:g} at 0 and is not summable"
-            )
+            exc = DomainError("negative-order mean of a table containing zero values")
+            errors.update((q, exc) for q in range(len(lo)) if q not in errors)
+        return errors
+    s = base.zero_power_exponent(order)
+    if s is None or s > -1.0:
+        return {}
+    exc = DomainError(f"f**{order:g} behaves like x**{s:g} at 0 and is not summable")
+    return {q: exc for q in np.flatnonzero(lo == 0.0).tolist()}
+
+
+def _row_nodes(kind: str, knots: int, level: int) -> int:
+    if kind == "zero":
+        return 16 * (11 + 4 * level)
+    if kind == "table":
+        return 16 * (knots + 1) * (2 << level)
+    return 16 * (16 << level)
+
+
+def _piece_integrals(fo, base, order, kind, knots, lo, hi, first, level) -> np.ndarray:
+    if kind == "zero":
+        return _zero_anchored_rows(fo, hi, base.zero_power_exponent(order), level)
+    if kind == "table":
+        return _table_rows(fo, base.xs, lo, hi, first, knots, level)
+    return _interior_rows(fo, lo, hi, kind == "geo", level)
+
+
+def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool, max_levels: int):
+    """Adaptive means of every order over every interval, all rows at once.
+
+    Row j * len(lo) + i is the mean of order orders[j] over (lo[i], hi[i]).
+    Every row refines level by level until two successive levels agree to
+    tol * (1 + |value|).  With tighten, a row that converges to a mean
+    below 1 has its tolerance scaled by that mean and continues from the
+    level it reached; the tighter test cannot pass at an earlier level, so
+    the row ends where a restart from level 0 would.
+
+    Returns (values, diffs, errors): per-row means and last-level
+    differences, and the RhiError each failed row would raise.
+    """
+    base = f.base if isinstance(f, EvenExtensionView) else f
+    n, rows = len(lo), len(orders) * len(lo)
+    owner, pos, plo, phi, folded = _pieces(f, lo, hi)
+    errors: dict[int, RhiError] = {
+        j * n + i: exc for i, exc in folded.items() for j in range(len(orders))
+    }
+    for j, order in enumerate(orders):
+        # A row fails with the error of its first failing piece.
+        for q, exc in sorted(_piece_errors(base, order, plo, phi).items()):
+            errors.setdefault(j * n + int(owner[q]), exc)
+
+    # Pieces with the same rule and mesh size form one rectangular block.
+    if isinstance(base, SampledTable):
+        first = np.searchsorted(base.xs, plo, "right")
+        knots = np.searchsorted(base.xs, phi, "left") - first
+        members: dict[int, list[int]] = {}
+        for q, k in enumerate(knots.tolist()):
+            members.setdefault(k, []).append(q)
+        blocks = {("table", k): np.array(qs) for k, qs in members.items()}
+    else:
+        first = np.zeros(len(plo), dtype=int)
+        zero = plo == 0.0
+        with np.errstate(divide="ignore"):
+            geometric = ~zero & (phi / plo > 10.0)
+        masks = {("zero", 0): zero, ("geo", 0): geometric, ("lin", 0): ~zero & ~geometric}
+        blocks = {kind: np.flatnonzero(m) for kind, m in masks.items() if m.any()}
+    at_position = [pos == p for p in (0, 1)]
+
+    lengths = np.tile(hi - lo, len(orders))
+    row_order = np.repeat(np.asarray(orders, dtype=float), n)
+    tols = np.full(rows, tol)
+    loose = np.full(rows, tighten)
+    values, diffs = np.zeros(rows), np.zeros(rows)
+    previous = np.full(rows, math.nan)  # NaN until a row has a level
+    active = np.ones(rows, dtype=bool)
+    active[list(errors)] = False
+    live = active.reshape(len(orders), n)  # a view, indexed (order, interval)
+
+    def fail(failed: np.ndarray, exc: RhiError) -> None:
+        errors.update(dict.fromkeys(failed.tolist(), exc))
+        active[failed] = False
+
+    for level in range(max_levels):
+        if not active.any():
+            break
+        integrals = np.zeros((len(orders), len(plo)))
+        for j, order in enumerate(orders):
+
+            def fo(x: np.ndarray, order=order) -> np.ndarray:
+                return base.power_values(x, order)
+
+            for (kind, k), qs in blocks.items():
+                qs = qs[live[j, owner[qs]]]
+                step = max(1, _NODE_BUDGET // _row_nodes(kind, k, level))
+                for start in range(0, len(qs), step):
+                    q = qs[start : start + step]
+                    integrals[j, q] = _piece_integrals(
+                        fo, base, order, kind, k, plo[q], phi[q], first[q], level
+                    )
+
+        # A row's total adds its pieces in order, as a running sum from 0.
+        totals = np.zeros((len(orders), n))
+        finite = np.ones((len(orders), n), dtype=bool)
+        for at in at_position:
+            totals[:, owner[at]] += integrals[:, at]
+            finite[:, owner[at]] &= np.isfinite(integrals[:, at])
+
+        act = np.flatnonzero(active)
+        total, ok = totals.ravel()[act], finite.ravel()[act]
+        fail(act[~ok], NumericError("integrand overflowed during quadrature"))
+        fail(
+            act[ok & (total <= 0.0)],
+            DomainError("mean undefined: integral of f**order is not positive"),
+        )
+        # Near the subnormal floor the panel sums carry almost no mantissa;
+        # a mean built from them looks plausible but is rounding noise, so
+        # refuse rather than return it.
+        fail(
+            act[ok & (total > 0.0) & (total < 1e-300)],
+            NumericError("integral of f**order underflows double range"),
+        )
+        good = ok & (total >= 1e-300)
+        act, total = act[good], total[good]
+        # math, not numpy: np.log and np.exp can differ from these in the
+        # last bit, which would move every reported value.
+        logs = [math.log(t) for t in (total / lengths[act]).tolist()]
+        exponent = np.array(logs) / row_order[act]
+        fail(act[exponent > 700.0], NumericError("mean overflows double range"))
+        fail(act[exponent < -700.0], NumericError("mean underflows double range"))
+        inside = np.abs(exponent) <= 700.0
+        act, exponent = act[inside], exponent[inside]
+        value = np.array([math.exp(e) for e in exponent.tolist()])
+        diff = np.abs(value - previous[act])  # NaN, so never converged, at level 0
+        scale = 1.0 + np.abs(value)
+        tightened = (diff <= tols[act] * scale) & loose[act] & (value < 1.0)
+        t = act[tightened]
+        loose[t] = False
+        tols[t] *= value[tightened]
+        fail(t[~(tols[t] > 0.0)], DomainError("tolerance must lie in (0, 1)"))
+        done = (diff <= tols[act] * scale) & active[act]
+        values[act[done]], diffs[act[done]] = value[done], diff[done]
+        active[act[done]] = False
+        previous[act] = value
+
+    for r in np.flatnonzero(active).tolist():
+        i = r % n
+        errors[r] = QuadratureError(
+            f"mean of order {orders[r // n]:g} over ({lo[i]:g}, {hi[i]:g})"
+            f" did not reach tol={tols[r]:g} within {max_levels} refinement levels"
+        )
+    return values, diffs, errors
+
+
+def _bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.array([iv.lo for iv in intervals], dtype=float),
+        np.array([iv.hi for iv in intervals], dtype=float),
+    )
 
 
 def quad_mean(
@@ -494,46 +675,27 @@ def quad_mean(
         raise DomainError("mean order must be nonzero and finite")
     if not (0.0 < tol < 1.0):
         raise DomainError("tolerance must lie in (0, 1)")
-    base, segs = _segments(f, interval)
-    for lo, hi in segs:
-        _check_segment(base, order, lo, hi)
+    values, diffs, errors = _means(f, *_bounds([interval]), [order], tol, False, max_levels)
+    if errors:
+        raise errors[0]
+    return MeanValue(float(values[0]), order, interval, float(diffs[0]))
 
-    def fo(x: np.ndarray) -> np.ndarray:
-        return base.power_values(x, order)
 
-    length = interval.length
-    previous = None
-    for level in range(max_levels):
-        total = 0.0
-        for lo, hi in segs:
-            if isinstance(base, SampledTable):
-                total += _table_integral(fo, base, lo, hi, level)
-            elif lo == 0.0:
-                total += _zero_anchored_integral(fo, hi, base.zero_power_exponent(order), level)
-            else:
-                total += _interior_integral(fo, lo, hi, level)
-        if total <= 0.0:
-            raise DomainError("mean undefined: integral of f**order is not positive")
-        if total < 1e-300:
-            # Near the subnormal floor the panel sums carry almost no
-            # mantissa; a mean built from them looks plausible but is
-            # rounding noise, so refuse rather than return it.
-            raise NumericError("integral of f**order underflows double range")
-        exponent = math.log(total / length) / order
-        if exponent > 700.0:
-            raise NumericError("mean overflows double range")
-        if exponent < -700.0:
-            raise NumericError("mean underflows double range")
-        value = math.exp(exponent)
-        if previous is not None:
-            diff = abs(value - previous)
-            if diff <= tol * (1.0 + abs(value)):
-                return MeanValue(value, order, interval, diff)
-        previous = value
-    raise QuadratureError(
-        f"mean of order {order:g} over ({interval.lo:g}, {interval.hi:g})"
-        f" did not reach tol={tol:g} within {max_levels} refinement levels"
-    )
+def _ratios(f, intervals, pair, tol, max_levels) -> tuple[np.ndarray, dict[int, RhiError]]:
+    if not (0.0 < tol < 1.0):
+        raise DomainError("tolerance must lie in (0, 1)")
+    n = len(intervals)
+    orders = (pair.beta, pair.alpha)
+    values, _, errors = _means(f, *_bounds(intervals), orders, tol / 3.0, True, max_levels)
+    failed: dict[int, RhiError] = {}
+    for r in sorted(errors):
+        # Beta rows come first: the beta mean is the one a single
+        # evaluation computes, and fails on, first.
+        failed.setdefault(r % n, errors[r])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = values[:n] / values[n:]
+    ratios[list(failed)] = -math.inf
+    return ratios, failed
 
 
 def mean_ratio(
@@ -545,18 +707,32 @@ def mean_ratio(
 ) -> float:
     """M_beta / M_alpha over one interval, accurate to ~tol relatively.
 
-    The mixed tolerance handed to quad_mean is rescaled by each mean's own
-    magnitude so the ratio keeps relative accuracy even when the means
-    themselves are far from 1.  For valid inputs the result is >= 1 - tol.
+    Each mean gets tol/3 as its mixed tolerance, rescaled by the mean's
+    own magnitude when that is below 1, so the ratio keeps relative
+    accuracy even when the means themselves are far from 1.  For valid
+    inputs the result is >= 1 - tol.
     """
-    if not (0.0 < tol < 1.0):
-        raise DomainError("tolerance must lie in (0, 1)")
-    third = tol / 3.0
+    ratios, errors = _ratios(f, [interval], pair, tol, max_levels)
+    if errors:
+        raise errors[0]
+    return float(ratios[0])
 
-    def refined(order: float) -> float:
-        rough = quad_mean(f, interval, order, third, max_levels)
-        if rough.value >= 1.0:
-            return rough.value
-        return quad_mean(f, interval, order, third * rough.value, max_levels).value
 
-    return refined(pair.beta) / refined(pair.alpha)
+def mean_ratios(
+    f: FunctionSpec,
+    intervals,
+    pair: ExponentPair,
+    tol: float = 1e-9,
+    max_levels: int = 12,
+) -> np.ndarray:
+    """mean_ratio over many intervals in one pass, equal to it bit for bit.
+
+    An interval whose mean_ratio would raise DomainError, NumericError or
+    QuadratureError scores -inf; any other error, such as a window
+    leaving a table's data, is raised.
+    """
+    ratios, errors = _ratios(f, intervals, pair, tol, max_levels)
+    for exc in errors.values():
+        if not isinstance(exc, (DomainError, NumericError, QuadratureError)):
+            raise exc
+    return ratios

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from rhiconst import generic
 from rhiconst.core import (
     DataError,
     DomainError,
     ExponentPair,
     Interval,
     NumericError,
+    QuadratureError,
     SearchConfig,
 )
 from rhiconst.generic import (
@@ -27,6 +29,7 @@ from rhiconst.means import (
     PowerLaw,
     SampledTable,
     mean_ratio,
+    mean_ratios,
     quad_mean,
 )
 from rhiconst.oracle import brute_extension, brute_halfline
@@ -169,6 +172,77 @@ def test_default_searches_are_pinned(search, expected):
     est = search()
     got = (est.value, est.witness.lo, est.witness.hi, est.search_points, est.converged)
     assert got == expected
+
+
+# A non-monotone table whose widest windows from the first knot end past
+# the last knot by rounding alone and are clamped onto it.
+CLAMPED_TABLE = SampledTable(
+    np.array([0.1, 0.5, 1.0, 2.0, 4.0, 8.0]), np.array([1.0, 2.2, 1.7, 3.1, 1.3, 5.0])
+)
+
+
+def _interior(iv: Interval, geometric: bool) -> bool:
+    return iv.lo > 0.0 and (iv.hi / iv.lo > 10.0) == geometric
+
+
+@pytest.mark.parametrize(
+    "search, covers",
+    [
+        (
+            lambda: estimate_extension(PowerLaw(1.0), ExponentPair(1.0, 2.0)),
+            lambda ivs, scores: any(iv.lo == 0.0 for iv in ivs),
+        ),
+        # Offset 1 keeps f regular at 0 (substitution exponent p = 1);
+        # offset 0 with gamma < 0 makes it singular there (p != 1).
+        (
+            lambda: estimate_extension(AffinePower(2.0, 0.5, 1.0), ExponentPair(1.0, 2.0), CFG),
+            lambda ivs, scores: any(iv.lo < 0.0 < iv.hi for iv in ivs),
+        ),
+        (
+            lambda: estimate_extension(AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0), CFG),
+            lambda ivs, scores: any(iv.lo < 0.0 < iv.hi for iv in ivs),
+        ),
+        (
+            lambda: estimate_halfline(
+                ExpDecay(1.0), ExponentPair(1.0, 2.0), CFG, use_reduction=False
+            ),
+            lambda ivs, scores: (
+                np.isneginf(scores).any()
+                and any(_interior(iv, True) for iv in ivs)
+                and any(_interior(iv, False) for iv in ivs)
+            ),
+        ),
+        (
+            lambda: estimate_halfline(CLAMPED_TABLE, ExponentPair(-1.0, 1.0), CFG),
+            lambda ivs, scores: any(iv.lo == 0.1 and iv.hi == 8.0 for iv in ivs),
+        ),
+    ],
+    ids=["pow-eps", "affpow-regular", "affpow-singular", "expdecay-2d", "table-clamped"],
+)
+def test_batched_scores_equal_scalar_loop(monkeypatch, search, covers):
+    # Every batch a search scores (slices of the seed grid, then each
+    # stencil) must score exactly as a loop of scalar mean_ratio calls,
+    # failed cells (-inf) included.
+    batches = []
+
+    def recording(f, intervals, pair, tol, levels):
+        got = mean_ratios(f, intervals, pair, tol, levels)
+        batches.append((f, list(intervals), pair, tol, levels, got))
+        return got
+
+    monkeypatch.setattr(generic, "mean_ratios", recording)
+    search()
+    assert len(batches) > 1
+    for f, intervals, pair, tol, levels, got in batches:
+        want = []
+        for interval in intervals:
+            try:
+                want.append(mean_ratio(f, interval, pair, tol, levels))
+            except (DomainError, NumericError, QuadratureError):
+                want.append(-math.inf)
+        assert got.tolist() == want
+    intervals = [iv for batch in batches for iv in batch[1]]
+    assert covers(intervals, np.concatenate([batch[-1] for batch in batches]))
 
 
 def test_table_extension_is_rejected():

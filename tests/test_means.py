@@ -14,14 +14,17 @@ from rhiconst.core import (
     NumericError,
     QuadratureError,
 )
+from rhiconst import means
 from rhiconst.means import (
     AffinePower,
     EvenExtensionView,
     ExpDecay,
+    FunctionSpec,
     Monotonicity,
     PowerLaw,
     SampledTable,
     mean_ratio,
+    mean_ratios,
     power_mean_closed,
     quad_mean,
     table_from_csv,
@@ -129,6 +132,65 @@ def test_non_summable_origin_is_rejected():
 def test_closed_form_rejects_non_summable():
     with pytest.raises(DomainError):
         power_mean_closed(0.5, -2.0, 1.0)
+
+
+class CountingDecay(FunctionSpec):
+    """exp(-x), counting the integrand calls the quadrature makes."""
+
+    monotonicity = Monotonicity.DECREASING
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def evaluate(self, x):
+        return np.exp(-x)
+
+    def power_values(self, x, order):
+        self.calls += 1
+        return super().power_values(x, order)
+
+
+def test_mean_below_one_continues_instead_of_restarting():
+    # Both means of exp(-x) over (0, 6) lie below 1, so mean_ratio tightens
+    # each one's tolerance by the mean.  Continuing from the level already
+    # reached must cost no more than one pass at the tighter tolerance and
+    # give the values such a pass gives.
+    f, interval, pair, tol = CountingDecay(), Interval(0.0, 6.0), ExponentPair(1.0, 2.0), 1e-9
+    ratio = mean_ratio(f, interval, pair, tol)
+    ratio_calls = f.calls
+    tight, tight_calls = {}, 0
+    for order in (pair.beta, pair.alpha):
+        rough = quad_mean(f, interval, order, tol / 3.0).value
+        assert rough < 1.0
+        f.calls = 0
+        tight[order] = quad_mean(f, interval, order, tol / 3.0 * rough).value
+        tight_calls += f.calls
+    assert ratio_calls <= tight_calls
+    assert ratio == tight[pair.beta] / tight[pair.alpha]
+
+
+def test_batches_across_chunk_boundaries_equal_scalar_calls():
+    # Origin-anchored rows have 11 cells of 16 nodes at level 0, so
+    # per_chunk of them fill one integrand call; the sizes below put the
+    # first level's chunk boundary just inside and just past the batch.
+    per_chunk = means._NODE_BUDGET // (16 * 11)
+    f, pair = AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0)
+    ends = np.geomspace(1e-3, 1e3, per_chunk + 1).tolist()
+    for size in (1, per_chunk - 1, per_chunk + 1):
+        intervals = [Interval(0.0, b) for b in ends[:size]]
+        got = mean_ratios(f, intervals, pair)
+        assert got.tolist() == [mean_ratio(f, iv, pair) for iv in intervals]
+
+
+def test_batch_raises_errors_other_than_failed_evaluations():
+    tbl = SampledTable(np.linspace(1.0, 3.0, 20), np.linspace(2.0, 1.0, 20))
+    pair = ExponentPair(1.0, 2.0)
+    ok = mean_ratios(tbl, [Interval(1.0, 2.0)], pair)
+    assert ok.tolist() == [mean_ratio(tbl, Interval(1.0, 2.0), pair)]
+    with pytest.raises(DataError):
+        mean_ratios(tbl, [Interval(1.0, 2.0), Interval(0.5, 2.0)], pair)
+    failed = mean_ratios(ExpDecay(1.0), [Interval(368.0, 1368.0), Interval(0.0, 1.0)], pair)
+    assert failed[0] == -math.inf and math.isfinite(failed[1])
 
 
 def test_quadrature_budget_exhaustion():

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from rhiconst.core import DomainError, ExponentPair, Interval, NumericError
+from rhiconst.classconst import power_class_constant
+from rhiconst.core import DomainError, ExponentPair, Interval, NumericError, RhiError
 from rhiconst.means import PowerLaw, mean_ratio
 from rhiconst.power import (
     PowerRhiReport,
@@ -185,3 +186,41 @@ def test_report_validation_rejects_inconsistent_fields():
 def test_curve_values_requires_admissible_gamma():
     with pytest.raises(DomainError):
         curve_values(ExponentPair(-1.0, 1.0), 1.5, np.array([0.5]))
+
+
+_MAGNITUDE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+_SIGN = st.sampled_from((-1.0, 1.0))
+
+
+@st.composite
+def _extreme_pairs_and_gammas(draw):
+    """|orders| in [1e-3, 1e3]; gamma anywhere in [-1e3, 1e3] or near an end.
+
+    Near an end, gamma is placed so that order * gamma + 1 equals a margin
+    between 1e-9 (the boundary margin require_gamma enforces) and 1.
+    """
+    a, b = draw(_MAGNITUDE) * draw(_SIGN), draw(_MAGNITUDE) * draw(_SIGN)
+    assume(a != b)
+    pair = ExponentPair(min(a, b), max(a, b))
+    dom = pair.gamma_domain()
+    if draw(st.booleans()):
+        ends = ((dom.lower, pair.beta), (dom.upper, pair.alpha))
+        order = draw(st.sampled_from([o for end, o in ends if math.isfinite(end)]))
+        gamma = (10.0 ** draw(st.floats(-9.0, 0.0)) - 1.0) / order
+    else:
+        gamma = draw(_MAGNITUDE) * draw(_SIGN)
+    assume(dom.contains(gamma))
+    return pair, gamma
+
+
+@given(_extreme_pairs_and_gammas())
+def test_power_report_is_validated_or_typed_error_at_extreme_exponents(case):
+    pair, gamma = case
+    try:
+        rep = power_report(pair, gamma)
+        bound, _ = power_class_constant(pair)
+    except RhiError:
+        return
+    # The report validated itself on construction; the class constant is
+    # the supremum of curve_max over gamma, so it bounds every point.
+    assert rep.curve_max <= bound * (1.0 + 1e-12)
