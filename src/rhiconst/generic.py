@@ -296,11 +296,11 @@ def estimate_halfline(
 def _eps_seeds(n: int) -> np.ndarray:
     # Uniform coverage of [0, 1] plus a short log tail: maximizing
     # straddles can sit at very lopsided shapes.
-    return np.unique(
-        np.concatenate(
-            (np.linspace(0.0, 1.0, n), np.geomspace(_EPS_TAIL_FLOOR, 0.1, 16))
-        )
+    # Sorted and deduplicated by hand: np.unique imports numpy.ma.
+    seeds = np.sort(
+        np.concatenate((np.linspace(0.0, 1.0, n), np.geomspace(_EPS_TAIL_FLOOR, 0.1, 16)))
     )
+    return seeds[np.append(True, seeds[1:] != seeds[:-1])]
 
 
 def estimate_extension(

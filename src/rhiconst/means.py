@@ -12,31 +12,38 @@ intervals, and an adaptive quadrature evaluator for everything else.
 
 Quadrature strategy
 -------------------
-Composite 16-point Gauss-Legendre panels.  Origin-anchored segments are
-integrated after the substitution x = T * u**p with p chosen from the known
-power behavior of f**r near 0, which turns an integrable endpoint blowup
-into a function vanishing at least quadratically; the u-mesh is graded
-geometrically toward 0.  Interior segments use linear or geometric panels
-depending on the endpoint ratio, and table windows put an edge on every
-knot inside them.  The mesh is refined by whole levels and the error
-estimate is the difference between the last two levels.  Inputs never get
-evaluated at panel edges, only at interior Gauss nodes, so an endpoint
-blowup of f itself is harmless.
+A mean is the sum of integrals over pieces, and _pieces is the one place
+that splits an interval.  Under an even extension an interval straddling
+0 folds into two origin-anchored pieces, (0, eps*b) and (0, b); a table
+window splits at every knot inside it, so the interpolant is linear on
+each piece; any other interval is one piece.
 
-Every mean is a row of one batched pass: all (interval, order) rows
-advance a level together, and the segments of the rows still refining
-are integrated in rectangular blocks of one rule and mesh size (origin-
-anchored segments share their u-mesh and differ only in scale; table
-windows are grouped by how many knots they contain).  A block is cut into
-chunks of at most _NODE_BUDGET nodes per integrand call, which bounds
-memory whatever the batch size.  Each row is summed on its own and keeps
-the scalar convergence test, so a row's value does not depend on the
-batch it is in; quad_mean and mean_ratio are batches of one, mean_ratios
-scores many intervals at once.  mean_ratio asks each mean for tol/3 and,
-for a mean below 1, for tol/3 times that mean: such a row continues from
-the level it reached under the tighter test instead of starting over,
-which ends at the same level with the same value, because a tighter test
-cannot pass earlier.
+Pieces are integrated with composite 16-point Gauss-Legendre panels.
+Origin-anchored pieces are integrated after the substitution x = T * u**p
+with p chosen from the known power behavior of f**r near 0, which turns
+an integrable endpoint blowup into a function vanishing at least
+quadratically; the u-mesh is graded geometrically toward 0.  Other
+pieces get a linear or geometric mesh depending on the endpoint ratio,
+and a table piece a linear mesh of 2 << level cells.  The mesh is refined
+by whole levels and the error estimate is the difference between the last
+two levels.  Inputs never get evaluated at panel edges, only at interior
+Gauss nodes, so an endpoint blowup of f itself is harmless.
+
+A pass computes the means of one order over a batch of intervals: all
+intervals advance a level together, and the pieces of the intervals still
+refining are integrated in rectangular blocks of one rule and cell count
+(origin-anchored pieces share their u-mesh and differ only in scale).  A
+block is cut into chunks of at most _NODE_BUDGET nodes per integrand
+call, which bounds memory whatever the batch size.  Each piece is summed
+on its own, an interval's pieces are added in order, and each interval
+keeps the scalar convergence test, so a mean does not depend on the batch
+it is in; quad_mean and mean_ratio are batches of one, mean_ratios scores
+many intervals at once.  A ratio runs the beta pass first and the alpha
+pass only on the intervals whose beta mean exists.  mean_ratio asks each
+mean for tol/3 and, for a mean below 1, for tol/3 times that mean: such a
+mean continues from the level it reached under the tighter test instead
+of starting over, which ends at the same level with the same value,
+because a tighter test cannot pass earlier.
 
 0**r is treated as 0 for r > 0.  For r < 0 it is inadmissible and the
 entry points reject the configurations that would produce it.
@@ -393,8 +400,8 @@ class MeanValue:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-# Most quadrature nodes handed to one integrand call.  Rows are never
-# split, so a row with more nodes than this is integrated alone.
+# Most quadrature nodes handed to one integrand call.  Pieces are never
+# split, so a piece with more nodes than this is integrated alone.
 _NODE_BUDGET = 1 << 14
 
 
@@ -407,7 +414,7 @@ def _gl_rows(fo, edges: np.ndarray) -> np.ndarray:
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     # Deliberately quiet: an overflowing cell makes its row's total
-    # non-finite, which fails the row with a clearer message than the
+    # non-finite, which fails its interval with a clearer message than the
     # warning.  divide fires when a deep exp tail underflows to 0 under a
     # negative order and is handled the same way.  The products are taken
     # in place so that few node-sized arrays are alive at once.
@@ -445,135 +452,123 @@ def _zero_anchored_rows(fo, his: np.ndarray, s: float | None, level: int) -> np.
         return np.sum(weighted, axis=1)
 
 
-def _interior_rows(fo, los, his, geometric: bool, level: int) -> np.ndarray:
-    space = np.geomspace if geometric else np.linspace
-    return _gl_rows(fo, space(los, his, (16 << level) + 1, axis=1))
+def _cells(kind: str, level: int) -> int:
+    if kind == "zero":
+        return 11 + 4 * level
+    if kind == "knot":
+        return 2 << level
+    return 16 << level
 
 
-def _table_rows(fo, xs, los, his, first, knots: int, level: int) -> np.ndarray:
-    # The integrand is smooth only between knots, so every knot becomes a
-    # mesh edge and each piece is split uniformly per level.  All rows
-    # hold the same number of inner knots, xs[first:first + knots].
-    base = np.column_stack((los, xs[first[:, None] + np.arange(knots)], his))
-    splits = np.linspace(0.0, 1.0, (2 << level) + 1)
-    edges = base[:, :-1, None] + np.diff(base, axis=1)[:, :, None] * splits
-    return _gl_rows(fo, np.column_stack((edges[:, :, :-1].reshape(len(los), -1), his)))
+def _piece_integrals(fo, kind: str, lo, hi, s: float | None, level: int) -> np.ndarray:
+    if kind == "zero":
+        return _zero_anchored_rows(fo, hi, s, level)
+    space = np.geomspace if kind == "geo" else np.linspace
+    return _gl_rows(fo, space(lo, hi, _cells(kind, level) + 1, axis=1))
 
 
 def _pieces(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray):
-    """Fold intervals (lo[i], hi[i]) onto the base input's half-line domain.
+    """Split intervals (lo[i], hi[i]) into pieces of the base input's domain.
 
-    Returns (owner, position, piece lo, piece hi, errors): an interval
-    straddling 0 under an even extension folds into two origin-anchored
-    pieces, any other into one; errors maps the intervals that cannot be
-    folded to their RhiError.
+    Returns (owner, piece lo, piece hi, errors).  Under an even extension
+    an interval straddling 0 folds into two origin-anchored pieces and any
+    other into its mirror image or itself.  A table window then splits at
+    every knot inside it, so the interpolant is linear on each piece.
+    Every other interval is one piece.  Piece q belongs to interval
+    owner[q], and an interval's pieces are listed in the order its total
+    adds them: left to right, a straddle's mirrored part first.  errors
+    maps the intervals that cannot be split to their RhiError.
     """
     n = len(lo)
+    base, errors = f, {}
     if isinstance(f, EvenExtensionView):
+        base = f.base
         right = lo >= 0.0
         left = ~right & (hi <= 0.0)
         straddle = np.flatnonzero(~right & ~left)
         owner = np.concatenate((np.arange(n), straddle))
-        pos = np.repeat([0, 1], [n, len(straddle)])
         first_lo = np.where(right, lo, np.where(left, -hi, 0.0))
-        piece_lo = np.concatenate((first_lo, np.zeros(len(straddle))))
-        piece_hi = np.concatenate((np.where(right, hi, -lo), hi[straddle]))
-        return owner, pos, piece_lo, piece_hi, {}
-    inside = lo >= 0.0
-    owner = np.flatnonzero(inside)
-    exc = DomainError("interval extends below 0; wrap the input in EvenExtensionView first")
-    errors = dict.fromkeys(np.flatnonzero(~inside).tolist(), exc)
-    return owner, np.zeros(len(owner), dtype=int), lo[inside], hi[inside], errors
+        lo, hi = (
+            np.concatenate((first_lo, np.zeros(len(straddle)))),
+            np.concatenate((np.where(right, hi, -lo), hi[straddle])),
+        )
+    else:
+        inside = lo >= 0.0
+        owner = np.flatnonzero(inside)
+        exc = DomainError("interval extends below 0; wrap the input in EvenExtensionView first")
+        errors = dict.fromkeys(np.flatnonzero(~inside).tolist(), exc)
+        lo, hi = lo[inside], hi[inside]
+    if not isinstance(base, SampledTable):
+        return owner, lo, hi, errors
 
-
-def _piece_errors(base: FunctionSpec, order: float, lo, hi) -> dict[int, RhiError]:
-    """The error a mean of this order over piece (lo[q], hi[q]) raises, by q."""
-    if isinstance(base, SampledTable):
-        dom_lo, dom_hi = base.domain
-        errors: dict[int, RhiError] = {
-            q: DataError(
+    xs, (dom_lo, dom_hi) = base.xs, base.domain
+    out = (lo < dom_lo) | (hi > dom_hi)
+    for q in np.flatnonzero(out).tolist():
+        errors.setdefault(
+            int(owner[q]),
+            DataError(
                 f"interval ({lo[q]:g}, {hi[q]:g}) leaves the table range"
                 f" [{dom_lo:g}, {dom_hi:g}]; no extrapolation is performed"
-            )
-            for q in np.flatnonzero((lo < dom_lo) | (hi > dom_hi)).tolist()
-        }
-        if order < 0.0 and not base.strictly_positive:
-            exc = DomainError("negative-order mean of a table containing zero values")
-            errors.update((q, exc) for q in range(len(lo)) if q not in errors)
-        return errors
-    s = base.zero_power_exponent(order)
-    if s is None or s > -1.0:
-        return {}
-    exc = DomainError(f"f**{order:g} behaves like x**{s:g} at 0 and is not summable")
-    return {q: exc for q in np.flatnonzero(lo == 0.0).tolist()}
+            ),
+        )
+    owner, lo, hi = owner[~out], lo[~out], hi[~out]
+    # Window w has count[w] pieces; its piece j ends at knot first[w] + j,
+    # the last one at hi instead.
+    first = np.searchsorted(xs, lo, "right")
+    count = np.searchsorted(xs, hi, "left") - first + 1
+    w = np.repeat(np.arange(len(lo)), count)
+    j = np.arange(len(w)) - np.repeat(np.cumsum(count) - count, count)
+    k = first[w] + j
+    piece_lo = np.where(j == 0, lo[w], xs[k - 1])
+    piece_hi = np.where(j == count[w] - 1, hi[w], xs[k])
+    return owner[w], piece_lo, piece_hi, errors
 
 
-def _row_nodes(kind: str, knots: int, level: int) -> int:
-    if kind == "zero":
-        return 16 * (11 + 4 * level)
-    if kind == "table":
-        return 16 * (knots + 1) * (2 << level)
-    return 16 * (16 << level)
+def _means(f: FunctionSpec, lo, hi, order: float, tol: float, tighten: bool, max_levels: int):
+    """Adaptive means of one order over every interval (lo[i], hi[i]) at once.
 
+    Every interval refines level by level until two successive levels
+    agree to tol * (1 + |value|).  With tighten, an interval whose mean
+    converges below 1 has its tolerance scaled by that mean and continues
+    from the level it reached; the tighter test cannot pass at an earlier
+    level, so it ends where a restart from level 0 would.
 
-def _piece_integrals(fo, base, order, kind, knots, lo, hi, first, level) -> np.ndarray:
-    if kind == "zero":
-        return _zero_anchored_rows(fo, hi, base.zero_power_exponent(order), level)
-    if kind == "table":
-        return _table_rows(fo, base.xs, lo, hi, first, knots, level)
-    return _interior_rows(fo, lo, hi, kind == "geo", level)
-
-
-def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool, max_levels: int):
-    """Adaptive means of every order over every interval, all rows at once.
-
-    Row j * len(lo) + i is the mean of order orders[j] over (lo[i], hi[i]).
-    Every row refines level by level until two successive levels agree to
-    tol * (1 + |value|).  With tighten, a row that converges to a mean
-    below 1 has its tolerance scaled by that mean and continues from the
-    level it reached; the tighter test cannot pass at an earlier level, so
-    the row ends where a restart from level 0 would.
-
-    Returns (values, diffs, errors): per-row means and last-level
-    differences, and the RhiError each failed row would raise.
+    Returns (values, diffs, errors): per-interval means and last-level
+    differences, and the RhiError each failed interval would raise.
     """
     base = f.base if isinstance(f, EvenExtensionView) else f
-    n, rows = len(lo), len(orders) * len(lo)
-    owner, pos, plo, phi, folded = _pieces(f, lo, hi)
-    errors: dict[int, RhiError] = {
-        j * n + i: exc for i, exc in folded.items() for j in range(len(orders))
-    }
-    for j, order in enumerate(orders):
-        # A row fails with the error of its first failing piece.
-        for q, exc in sorted(_piece_errors(base, order, plo, phi).items()):
-            errors.setdefault(j * n + int(owner[q]), exc)
+    n = len(lo)
+    owner, plo, phi, errors = _pieces(f, lo, hi)
+    s = base.zero_power_exponent(order)
+    if s is not None and s <= -1.0:
+        exc = DomainError(f"f**{order:g} behaves like x**{s:g} at 0 and is not summable")
+        for i in owner[plo == 0.0].tolist():
+            errors.setdefault(i, exc)
+    if order < 0.0 and not base.strictly_positive:
+        exc = DomainError("negative-order mean of a table containing zero values")
+        errors.update((i, exc) for i in range(n) if i not in errors)
 
-    # Pieces with the same rule and mesh size form one rectangular block.
+    # Pieces with the same rule and cell count form one rectangular block;
+    # all table pieces form one.
     if isinstance(base, SampledTable):
-        first = np.searchsorted(base.xs, plo, "right")
-        knots = np.searchsorted(base.xs, phi, "left") - first
-        members: dict[int, list[int]] = {}
-        for q, k in enumerate(knots.tolist()):
-            members.setdefault(k, []).append(q)
-        blocks = {("table", k): np.array(qs) for k, qs in members.items()}
+        blocks = {"knot": np.arange(len(plo))}
     else:
-        first = np.zeros(len(plo), dtype=int)
         zero = plo == 0.0
         with np.errstate(divide="ignore"):
             geometric = ~zero & (phi / plo > 10.0)
-        masks = {("zero", 0): zero, ("geo", 0): geometric, ("lin", 0): ~zero & ~geometric}
+        masks = {"zero": zero, "geo": geometric, "lin": ~zero & ~geometric}
         blocks = {kind: np.flatnonzero(m) for kind, m in masks.items() if m.any()}
-    at_position = [pos == p for p in (0, 1)]
 
-    lengths = np.tile(hi - lo, len(orders))
-    row_order = np.repeat(np.asarray(orders, dtype=float), n)
-    tols = np.full(rows, tol)
-    loose = np.full(rows, tighten)
-    values, diffs = np.zeros(rows), np.zeros(rows)
-    previous = np.full(rows, math.nan)  # NaN until a row has a level
-    active = np.ones(rows, dtype=bool)
+    lengths = hi - lo
+    tols = np.full(n, tol)
+    loose = np.full(n, tighten)
+    values, diffs = np.zeros(n), np.zeros(n)
+    previous = np.full(n, math.nan)  # NaN until an interval has a level
+    active = np.ones(n, dtype=bool)
     active[list(errors)] = False
-    live = active.reshape(len(orders), n)  # a view, indexed (order, interval)
+
+    def fo(x: np.ndarray) -> np.ndarray:
+        return base.power_values(x, order)
 
     def fail(failed: np.ndarray, exc: RhiError) -> None:
         errors.update(dict.fromkeys(failed.tolist(), exc))
@@ -582,30 +577,22 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool, max_level
     for level in range(max_levels):
         if not active.any():
             break
-        integrals = np.zeros((len(orders), len(plo)))
-        for j, order in enumerate(orders):
+        integrals = np.zeros(len(plo))
+        for kind, qs in blocks.items():
+            qs = qs[active[owner[qs]]]
+            step = max(1, _NODE_BUDGET // (16 * _cells(kind, level)))
+            for start in range(0, len(qs), step):
+                q = qs[start : start + step]
+                integrals[q] = _piece_integrals(fo, kind, plo[q], phi[q], s, level)
 
-            def fo(x: np.ndarray, order=order) -> np.ndarray:
-                return base.power_values(x, order)
-
-            for (kind, k), qs in blocks.items():
-                qs = qs[live[j, owner[qs]]]
-                step = max(1, _NODE_BUDGET // _row_nodes(kind, k, level))
-                for start in range(0, len(qs), step):
-                    q = qs[start : start + step]
-                    integrals[j, q] = _piece_integrals(
-                        fo, base, order, kind, k, plo[q], phi[q], first[q], level
-                    )
-
-        # A row's total adds its pieces in order, as a running sum from 0.
-        totals = np.zeros((len(orders), n))
-        finite = np.ones((len(orders), n), dtype=bool)
-        for at in at_position:
-            totals[:, owner[at]] += integrals[:, at]
-            finite[:, owner[at]] &= np.isfinite(integrals[:, at])
+        # bincount adds each interval's pieces to 0 one at a time, in the
+        # order they are listed.
+        totals = np.bincount(owner, weights=integrals, minlength=n)
+        finite = np.ones(n, dtype=bool)
+        finite[owner[~np.isfinite(integrals)]] = False
 
         act = np.flatnonzero(active)
-        total, ok = totals.ravel()[act], finite.ravel()[act]
+        total, ok = totals[act], finite[act]
         fail(act[~ok], NumericError("integrand overflowed during quadrature"))
         fail(
             act[ok & (total <= 0.0)],
@@ -623,7 +610,7 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool, max_level
         # math, not numpy: np.log and np.exp can differ from these in the
         # last bit, which would move every reported value.
         logs = [math.log(t) for t in (total / lengths[act]).tolist()]
-        exponent = np.array(logs) / row_order[act]
+        exponent = np.array(logs) / order
         fail(act[exponent > 700.0], NumericError("mean overflows double range"))
         fail(act[exponent < -700.0], NumericError("mean underflows double range"))
         inside = np.abs(exponent) <= 700.0
@@ -641,11 +628,10 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool, max_level
         active[act[done]] = False
         previous[act] = value
 
-    for r in np.flatnonzero(active).tolist():
-        i = r % n
-        errors[r] = QuadratureError(
-            f"mean of order {orders[r // n]:g} over ({lo[i]:g}, {hi[i]:g})"
-            f" did not reach tol={tols[r]:g} within {max_levels} refinement levels"
+    for i in np.flatnonzero(active).tolist():
+        errors[i] = QuadratureError(
+            f"mean of order {order:g} over ({lo[i]:g}, {hi[i]:g})"
+            f" did not reach tol={tols[i]:g} within {max_levels} refinement levels"
         )
     return values, diffs, errors
 
@@ -675,7 +661,7 @@ def quad_mean(
         raise DomainError("mean order must be nonzero and finite")
     if not (0.0 < tol < 1.0):
         raise DomainError("tolerance must lie in (0, 1)")
-    values, diffs, errors = _means(f, *_bounds([interval]), [order], tol, False, max_levels)
+    values, diffs, errors = _means(f, *_bounds([interval]), order, tol, False, max_levels)
     if errors:
         raise errors[0]
     return MeanValue(float(values[0]), order, interval, float(diffs[0]))
@@ -684,18 +670,19 @@ def quad_mean(
 def _ratios(f, intervals, pair, tol, max_levels) -> tuple[np.ndarray, dict[int, RhiError]]:
     if not (0.0 < tol < 1.0):
         raise DomainError("tolerance must lie in (0, 1)")
-    n = len(intervals)
-    orders = (pair.beta, pair.alpha)
-    values, _, errors = _means(f, *_bounds(intervals), orders, tol / 3.0, True, max_levels)
-    failed: dict[int, RhiError] = {}
-    for r in sorted(errors):
-        # Beta rows come first: the beta mean is the one a single
-        # evaluation computes, and fails on, first.
-        failed.setdefault(r % n, errors[r])
+    lo, hi = _bounds(intervals)
+    # The beta mean comes first: an interval fails with the beta mean's
+    # error when it has one, and only the others get an alpha pass.
+    ratios, _, errors = _means(f, lo, hi, pair.beta, tol / 3.0, True, max_levels)
+    live = np.ones(len(lo), dtype=bool)
+    live[list(errors)] = False
+    rest = np.flatnonzero(live)
+    alpha, _, failed = _means(f, lo[rest], hi[rest], pair.alpha, tol / 3.0, True, max_levels)
+    errors.update((int(rest[i]), exc) for i, exc in failed.items())
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = values[:n] / values[n:]
-    ratios[list(failed)] = -math.inf
-    return ratios, failed
+        ratios[rest] /= alpha
+    ratios[list(errors)] = -math.inf
+    return ratios, errors
 
 
 def mean_ratio(

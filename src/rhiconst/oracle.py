@@ -68,11 +68,10 @@ class OracleConfig:
     """Resolution knobs; all counts are floors, never tolerances."""
 
     interval_grid: int = 64
-    eps_grid: int = 256
     quad_panels: int = 64
 
     def __post_init__(self) -> None:
-        for name in ("interval_grid", "eps_grid", "quad_panels"):
+        for name in ("interval_grid", "quad_panels"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 64:
                 raise DomainError(f"{name} must be an integer of at least 64")

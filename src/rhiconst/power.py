@@ -228,7 +228,9 @@ def _seed_grid(n: int) -> np.ndarray:
     tail = np.concatenate(
         (np.logspace(-300.0, -16.0, 40), np.logspace(-16.0, -1.0, 46))
     )
-    return np.unique(np.concatenate((np.linspace(0.0, 1.0, n), tail)))
+    # Sorted and deduplicated by hand: np.unique imports numpy.ma.
+    grid = np.sort(np.concatenate((np.linspace(0.0, 1.0, n), tail)))
+    return grid[np.append(True, grid[1:] != grid[:-1])]
 
 
 def maximize_curve(

@@ -5,9 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from rhiconst import cli
+from rhiconst import cli, generic, power
 
 SQRT2 = math.sqrt(2.0)
 P_12 = 2.0 / math.sqrt(3.0)
@@ -312,6 +313,31 @@ def test_out_unwritable_path(capsys, tmp_path):
     )
     assert code == 4
     assert "data error" in err
+
+
+def test_power_and_extension_runs_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma, about 1.3 MB of RSS in every process;
+    # the seed grids are deduplicated without it, to the same arrays.
+    script = (
+        "import contextlib, io, sys\n"
+        "from rhiconst import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['power', '--alpha', '1', '--beta', '2', '--gamma', '1']),\n"
+        "             cli.main(['estimate', '--alpha', '1', '--beta', '2',\n"
+        "                       '--function', 'expdecay:lambda=1', '--extension'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] False\n"
+    for n in (64, 333, 4096):
+        uniform = np.linspace(0.0, 1.0, n)
+        tail = np.concatenate((np.logspace(-300.0, -16.0, 40), np.logspace(-16.0, -1.0, 46)))
+        eps_tail = np.geomspace(generic._EPS_TAIL_FLOOR, 0.1, 16)
+        assert np.array_equal(power._seed_grid(n), np.unique(np.concatenate((uniform, tail))))
+        assert np.array_equal(
+            generic._eps_seeds(n), np.unique(np.concatenate((uniform, eps_tail)))
+        )
 
 
 def test_module_entry_point():

@@ -169,6 +169,72 @@ def test_mean_below_one_continues_instead_of_restarting():
     assert ratio == tight[pair.beta] / tight[pair.alpha]
 
 
+class RecordingDecay(CountingDecay):
+    """exp(-x), recording the abscissae of every integrand call by order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nodes: dict[float, list[np.ndarray]] = {}
+
+    def power_values(self, x, order):
+        self.nodes.setdefault(order, []).append(x.copy())
+        return super().power_values(x, order)
+
+
+def test_beta_mean_is_evaluated_first():
+    # The order-2 mean of exp(-x) over (368, 1368) underflows.  That
+    # interval fails with the beta mean's error and gets no alpha pass.
+    pair = ExponentPair(1.0, 2.0)
+    batch = [Interval(368.0, 1368.0), Interval(0.0, 1.0)]
+    f, alone = RecordingDecay(), RecordingDecay()
+    got = mean_ratios(f, batch, pair)
+    assert got[0] == -math.inf and math.isfinite(got[1])
+    with pytest.raises(NumericError, match=r"integral of f\*\*order underflows"):
+        mean_ratio(f, batch[0], pair)
+    mean_ratios(alone, batch[1:], pair)
+    batch_nodes, alone_nodes = f.nodes[pair.alpha], alone.nodes[pair.alpha]
+    assert len(batch_nodes) == len(alone_nodes)
+    assert all(np.array_equal(a, b) for a, b in zip(batch_nodes, alone_nodes))
+
+
+def _exact_table_mean(xs, fs, lo, hi, order):
+    # f is linear between the points below, so each stretch integrates
+    # f**order exactly: h * (a + b) / 2 for order 1 and
+    # h * (a*a + a*b + b*b) / 3 for order 2.
+    edges = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi]))
+    ends = np.interp(edges, xs, fs)
+    a, b, h = ends[:-1], ends[1:], np.diff(edges)
+    if order == 1.0:
+        integral = np.sum(h * (a + b) / 2.0)
+    else:
+        integral = np.sum(h * (a * a + a * b + b * b) / 3.0)
+    return (integral / (hi - lo)) ** (1.0 / order)
+
+
+def test_table_windows_split_at_knots_and_integrate_exactly():
+    xs = np.array([1.0, 1.5, 2.5, 3.0, 4.5, 6.0])
+    tbl = SampledTable(xs, np.array([2.0, 0.5, 3.0, 1.0, 1.0, 4.0]))
+    windows = [
+        (1.7, 2.2),  # inside one knot gap
+        (1.5, 4.5),  # from knot to knot
+        (1.2, 5.1),  # between knots at both ends
+        (1.0, 6.0),  # the whole table
+    ]
+    lo, hi = (np.array(v) for v in zip(*windows))
+    owner, plo, phi, errors = means._pieces(tbl, lo, hi)
+    assert errors == {}
+    for i, (a, b) in enumerate(windows):
+        mine = owner == i
+        assert np.all(phi[mine] > plo[mine])
+        assert plo[mine][0] == a and phi[mine][-1] == b
+        assert np.array_equal(plo[mine][1:], phi[mine][:-1])
+        assert np.array_equal(plo[mine][1:], xs[(xs > a) & (xs < b)])
+        for order in (1.0, 2.0):
+            got = quad_mean(tbl, Interval(a, b), order).value
+            exact = _exact_table_mean(xs, tbl.fs, a, b, order)
+            assert math.isclose(got, exact, rel_tol=1e-13)
+
+
 def test_batches_across_chunk_boundaries_equal_scalar_calls():
     # Origin-anchored rows have 11 cells of 16 nodes at level 0, so
     # per_chunk of them fill one integrand call; the sizes below put the

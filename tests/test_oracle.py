@@ -115,6 +115,4 @@ def test_oracle_config_validation():
     with pytest.raises(DomainError):
         OracleConfig(interval_grid=100)  # not a multiple of 8
     with pytest.raises(DomainError):
-        OracleConfig(eps_grid=10)
-    with pytest.raises(DomainError):
         OracleConfig(quad_panels=8)
