@@ -273,6 +273,11 @@ class SearchConfig:
         A search reports converged=True when some refinement round within
         the budget improved the incumbent by less than this relative
         amount.
+
+    The half-line search of a sampled table reads only refine_rounds and
+    refine_shrink: its means are exact closed forms, its windows come from
+    its knots, and its local polish stops once a round gains less than a
+    fixed 1e-12.
     """
 
     eps_grid: int = 4096

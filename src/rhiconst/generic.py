@@ -11,22 +11,23 @@ Reductions from the structure of the input shrink the search space:
 
 * monotone inputs: the half-line supremum is approached on intervals
   anchored at the origin, so the search is one-dimensional in the right
-  endpoint.  For a table the anchor is pinned to the left edge of the
-  data instead of 0, which leaves the reduction heuristic; the estimate
-  is flagged reduction_certified=False.
+  endpoint.
 * even extensions: it suffices to search straddling shapes (-eps*b, b)
   with eps in [0, 1].
 * pure powers: scale invariance under x -> lambda*x collapses the
   extension search to eps alone at b = 1.
 
-Unknown monotonicity is never upgraded from samples; those inputs get
-the full two-dimensional (start, width) search.
+Analytic inputs of unknown monotonicity get the full two-dimensional
+(start, width) search.  Sampled tables, monotone or not, get no reduction:
+their means are exact (means.py), so every window between two knots is
+scored, and the best knot pairs are then polished with both ends free
+inside the neighbouring stretches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .means import (
     Monotonicity,
     PowerLaw,
     SampledTable,
+    _knot_integrals,
     mean_ratio,
     mean_ratios,
 )
@@ -59,15 +61,23 @@ __all__ = [
     "extension_ratio",
 ]
 
-# Fraction of a table's span used as the smallest searched width.
-_TABLE_WIDTH_FLOOR = 1e-6
-
 # Smallest straddle fraction seeded below the uniform eps grid.
 _EPS_TAIL_FLOOR = 1e-6
 
 # Most points scored by one batched quadrature pass.  A pass holds some
 # state per interval, so this bounds memory whatever the grid size.
 _SCORE_SLICE = 256
+
+# Most knot pairs held at once by the exhaustive table scan.
+_SCAN_BLOCK = 1 << 14
+
+# Knot pairs considered for the polish after the scan, seeds per stretch
+# beside each polished knot (the knot included), and the gain below which
+# a polish round ends it.  Table means are exact, so the polish can settle
+# to near rounding instead of to the quadrature-level converge_rtol.
+_POLISH_PAIRS = 16
+_POLISH_SEEDS = 5
+_POLISH_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,9 @@ class SupremumEstimate:
     the last refinement round improved the incumbent by less than the
     configured relative amount; it is not an upper-bound certificate.
     reduction_certified is False when a dimensional reduction was applied
-    outside the setting that justifies it.
+    outside the setting that justifies it.  Every search here reduces only
+    where the reduction is proven, so it is always True; it stays part of
+    the estimate record.
     """
 
     value: float
@@ -234,6 +246,104 @@ def _check_input(f: FunctionSpec, pair: ExponentPair, touches_origin: bool) -> N
 # ---------------------------------------------------------------------------
 
 
+def _scan_knot_pairs(table: SampledTable, pair: ExponentPair):
+    """Rank every window between two knots by its log mean ratio.
+
+    Row i holds the windows (xs[i], xs[j]) for j > i; their integrals are
+    cumulative sums of the exact stretch terms from knot i on, so every
+    sum starts at its window's left knot and adds positive terms.  The
+    terms use the table's scale (means._knot_integrals), so a window
+    whose terms all lie some 1e-300 below it cannot be ranked.  Rows are
+    taken in blocks of at most _SCAN_BLOCK pairs, a long row in several
+    blocks that carry its running sums.  Returns the _POLISH_PAIRS best
+    (i, j), best first, and the number of pairs scored.
+    """
+    xs, m = table.xs, len(table.xs) - 1
+    ca, ta = _knot_integrals(table, pair.alpha)
+    cb, tb = _knot_integrals(table, pair.beta)
+    if not (ca > 0.0 and cb > 0.0):
+        raise NumericError("no window of the table has finite means")
+    # log(M_beta / M_alpha) = shift + log(S_b)/beta - log(S_a)/alpha
+    #                         + (1/alpha - 1/beta) * log(width)
+    shift = math.log(cb) - math.log(ca)
+    tilt = 1.0 / pair.alpha - 1.0 / pair.beta
+    best = np.zeros(0)
+    best_i, best_j = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    r0 = 0
+    while r0 < m:
+        rows = np.arange(r0, min(m, r0 + max(1, _SCAN_BLOCK // (m - r0))))
+        carry_a, carry_b = np.zeros(len(rows)), np.zeros(len(rows))
+        for c0 in range(r0, m, _SCAN_BLOCK):
+            k = np.arange(c0, min(m, c0 + _SCAN_BLOCK))
+            inside = k[None, :] >= rows[:, None]
+            sa = np.where(inside, ta[k], 0.0)
+            sb = np.where(inside, tb[k], 0.0)
+            sa[:, 0] += carry_a
+            sb[:, 0] += carry_b
+            np.cumsum(sa, axis=1, out=sa)
+            np.cumsum(sb, axis=1, out=sb)
+            carry_a, carry_b = sa[:, -1], sb[:, -1]
+            width = xs[k + 1][None, :] - xs[rows][:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = np.log(sb) / pair.beta - np.log(sa) / pair.alpha
+                score += shift + tilt * np.log(width)
+            score[~inside | np.isnan(score)] = -math.inf
+            top = np.argpartition(score, -min(_POLISH_PAIRS, score.size), axis=None)
+            top = top[-_POLISH_PAIRS:]
+            ri, cj = np.unravel_index(top, score.shape)
+            best = np.concatenate((best, score[ri, cj]))
+            best_i = np.concatenate((best_i, rows[ri]))
+            best_j = np.concatenate((best_j, k[cj] + 1))
+            keep = np.lexsort((best_j, best_i, -best))[:_POLISH_PAIRS]
+            best, best_i, best_j = best[keep], best_i[keep], best_j[keep]
+        r0 = int(rows[-1]) + 1
+    # The whole table's window always scores, since some stretch holds the scale.
+    found = np.isfinite(best)
+    return list(zip(best_i[found].tolist(), best_j[found].tolist())), m * (m + 1) // 2
+
+
+def _knot_seeds(xs: np.ndarray, k: int) -> np.ndarray:
+    """Seeds over the stretches on both sides of knot k, the knot included."""
+    parts = [np.array([xs[k]])]
+    if k > 0:
+        parts.insert(0, np.linspace(xs[k - 1], xs[k], _POLISH_SEEDS)[:-1])
+    if k + 1 < len(xs):
+        parts.append(np.linspace(xs[k], xs[k + 1], _POLISH_SEEDS)[1:])
+    return np.concatenate(parts)
+
+
+def _search_table(table: SampledTable, pair: ExponentPair, cfg: SearchConfig) -> SupremumEstimate:
+    """Exhaustive knot-pair scan, then a local polish of the best pairs.
+
+    Each polish is a 2-D search over Interval(a, b) with a and b free in
+    the stretches beside the pair's two knots (its box), until a round
+    gains less than _POLISH_RTOL; its seed grid holds the knot pair
+    itself.  A pair whose knots are both within one knot of a better pair
+    already polished is skipped if that polish ended strictly inside its
+    box: the two boxes overlap, and that polish settled on a maximum
+    there rather than one past its edge.  The best polished window wins,
+    the first on ties.
+    """
+    xs = table.xs
+    pairs, evals = _scan_knot_pairs(table, pair)
+    polish_cfg = replace(cfg, converge_rtol=_POLISH_RTOL)
+    settled, best = [], None
+    for i, j in pairs:
+        if any(abs(i - a) <= 1 and abs(j - b) <= 1 for a, b in settled):
+            continue
+        box = [_knot_seeds(xs, i), _knot_seeds(xs, j)]
+        found = _search(table, pair, polish_cfg, Interval, box)
+        evals += found[2]
+        if best is None or found[0] > best[0]:
+            best = found
+        # A box edge at a table end cannot be crossed, so it does not count.
+        ends = (found[1].lo, found[1].hi)
+        if not any(x in (s[0], s[-1]) and x not in (xs[0], xs[-1]) for x, s in zip(ends, box)):
+            settled.append((i, j))
+    value, witness, _, converged = best
+    return SupremumEstimate(value, witness, evals, converged)
+
+
 def estimate_halfline(
     f: FunctionSpec,
     pair: ExponentPair,
@@ -243,46 +353,28 @@ def estimate_halfline(
 ) -> SupremumEstimate:
     """Searched lower bound on the half-line mean-ratio supremum.
 
-    Monotone inputs use the one-dimensional origin-anchored family; a
-    use_reduction=False override forces the two-dimensional search, which
-    exists mostly so the reduction itself can be cross-checked.
+    A table gets the exhaustive knot-pair scan and polish whatever its
+    declared monotonicity.  Monotone analytic inputs use the
+    one-dimensional origin-anchored family; a use_reduction=False
+    override forces the two-dimensional search, which exists mostly so
+    the reduction itself can be cross-checked.
     """
     cfg = cfg or SearchConfig()
     _check_input(f, pair, touches_origin=True)
-    dom_lo, dom_hi = f.domain
+    if isinstance(f, SampledTable):
+        return _search_table(f, pair, cfg)
 
     def window(a: float, w: float) -> Interval:
-        # (a, a + e**w).  A right end past a table's last knot by rounding
-        # alone is clamped onto it; anything further out is not searched.
-        hi = a + math.exp(w)
-        if hi > dom_hi:
-            if hi > dom_hi * (1.0 + 1e-12):
-                raise DomainError("window leaves the data range")
-            hi = dom_hi
-        return Interval(a, hi)
+        return Interval(a, a + math.exp(w))
 
     # Starts are linear so a 0 anchor can participate.  Widths live in log
-    # space: the configured scale window on the half-line, down to a fixed
-    # fraction of the span on a table.
+    # space over the configured scale window.
     n = cfg.interval_grid
-    if math.isinf(dom_hi):
-        starts = np.concatenate(([0.0], np.geomspace(cfg.scale_min, cfg.scale_max, n - 1)))
-        wseeds = np.linspace(math.log(cfg.scale_min), math.log(cfg.scale_max), n)
-    else:
-        span = dom_hi - dom_lo
-        starts = dom_lo + span * np.concatenate(
-            ([0.0], np.geomspace(_TABLE_WIDTH_FLOOR, 1.0, n - 1)[:-1])
-        )
-        wseeds = np.linspace(math.log(span * _TABLE_WIDTH_FLOOR), math.log(span), n)
+    starts = np.concatenate(([0.0], np.geomspace(cfg.scale_min, cfg.scale_max, n - 1)))
+    wseeds = np.linspace(math.log(cfg.scale_min), math.log(cfg.scale_max), n)
 
     if use_reduction and f.monotonicity is not Monotonicity.UNKNOWN:
-        # A bounded table is anchored at its left data edge instead of 0.
-        # The reduction to a one-dimensional family is not justified on a
-        # bounded domain, so that result is marked accordingly.
-        table = isinstance(f, SampledTable)
-        anchor = dom_lo if table else 0.0
-        found = _search(f, pair, cfg, lambda w: window(anchor, w), [wseeds])
-        return SupremumEstimate(*found, reduction_certified=not table)
+        return SupremumEstimate(*_search(f, pair, cfg, lambda w: window(0.0, w), [wseeds]))
 
     # Full 2-D search over (start, width).
     return SupremumEstimate(*_search(f, pair, cfg, window, [starts, wseeds]))

@@ -7,27 +7,27 @@ The mean of order r of f over a bounded interval I is
 Means are increasing in r, so for a validated exponent pair the ratio
 M_beta / M_alpha is always >= 1.  This module provides the input family
 (pure powers, shifted powers, exponential decay, sampled tables and the
-even-extension wrapper), a closed form for pure powers on origin-anchored
-intervals, and an adaptive quadrature evaluator for everything else.
+even-extension wrapper), closed forms for pure powers on origin-anchored
+intervals and for sampled tables, and an adaptive quadrature evaluator for
+everything else.
 
 Quadrature strategy
 -------------------
 A mean is the sum of integrals over pieces, and _pieces is the one place
 that splits an interval.  Under an even extension an interval straddling
-0 folds into two origin-anchored pieces, (0, eps*b) and (0, b); a table
-window splits at every knot inside it, so the interpolant is linear on
-each piece; any other interval is one piece.
+0 folds into two origin-anchored pieces, (0, eps*b) and (0, b); any other
+interval is one piece.
 
 Pieces are integrated with composite 16-point Gauss-Legendre panels.
 Origin-anchored pieces are integrated after the substitution x = T * u**p
 with p chosen from the known power behavior of f**r near 0, which turns
 an integrable endpoint blowup into a function vanishing at least
 quadratically; the u-mesh is graded geometrically toward 0.  Other
-pieces get a linear or geometric mesh depending on the endpoint ratio,
-and a table piece a linear mesh of 2 << level cells.  The mesh is refined
-by whole levels and the error estimate is the difference between the last
-two levels.  Inputs never get evaluated at panel edges, only at interior
-Gauss nodes, so an endpoint blowup of f itself is harmless.
+pieces get a linear or geometric mesh depending on the endpoint ratio.
+The mesh is refined by whole levels and the error estimate is the
+difference between the last two levels.  Inputs never get evaluated at
+panel edges, only at interior Gauss nodes, so an endpoint blowup of f
+itself is harmless.
 
 A pass computes the means of one order over a batch of intervals: all
 intervals advance a level together, and the pieces of the intervals still
@@ -44,6 +44,19 @@ mean for tol/3 and, for a mean below 1, for tol/3 times that mean: such a
 mean continues from the level it reached under the tighter test instead
 of starting over, which ends at the same level with the same value,
 because a tighter test cannot pass earlier.
+
+Sampled tables are not integrated numerically.  The interpolant is linear
+between knots, so a window splits at every knot inside it and each
+stretch of width h from value u to value v integrates in closed form,
+
+    integral of f**r = h * u**r * phi((r+1)*L) / phi(L),
+    L = log(v/u),  phi(z) = expm1(z)/z,
+
+which stays exact as v -> u and at r = -1 (see _stretch_integrals).
+Each window adds its own stretches from its left end; no window integral
+is a difference of cumulative sums, which cancels catastrophically when
+the window's terms are small next to the ones before it.  Table means
+have no quadrature error, so tol and max_levels do not apply to them.
 
 0**r is treated as 0 for r > 0.  For r < 0 it is inadmissible and the
 entry points reject the configurations that would produce it.
@@ -455,8 +468,6 @@ def _zero_anchored_rows(fo, his: np.ndarray, s: float | None, level: int) -> np.
 def _cells(kind: str, level: int) -> int:
     if kind == "zero":
         return 11 + 4 * level
-    if kind == "knot":
-        return 2 << level
     return 16 << level
 
 
@@ -472,12 +483,11 @@ def _pieces(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray):
 
     Returns (owner, piece lo, piece hi, errors).  Under an even extension
     an interval straddling 0 folds into two origin-anchored pieces and any
-    other into its mirror image or itself.  A table window then splits at
-    every knot inside it, so the interpolant is linear on each piece.
-    Every other interval is one piece.  Piece q belongs to interval
-    owner[q], and an interval's pieces are listed in the order its total
-    adds them: left to right, a straddle's mirrored part first.  errors
-    maps the intervals that cannot be split to their RhiError.
+    other into its mirror image or itself.  Every other interval is one
+    piece.  Piece q belongs to interval owner[q], and an interval's pieces
+    are listed in the order its total adds them: left to right, a
+    straddle's mirrored part first.  errors maps the intervals that cannot
+    be split, or that leave a table's data, to their RhiError.
     """
     n = len(lo)
     base, errors = f, {}
@@ -501,7 +511,7 @@ def _pieces(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray):
     if not isinstance(base, SampledTable):
         return owner, lo, hi, errors
 
-    xs, (dom_lo, dom_hi) = base.xs, base.domain
+    dom_lo, dom_hi = base.domain
     out = (lo < dom_lo) | (hi > dom_hi)
     for q in np.flatnonzero(out).tolist():
         errors.setdefault(
@@ -511,17 +521,157 @@ def _pieces(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray):
                 f" [{dom_lo:g}, {dom_hi:g}]; no extrapolation is performed"
             ),
         )
-    owner, lo, hi = owner[~out], lo[~out], hi[~out]
-    # Window w has count[w] pieces; its piece j ends at knot first[w] + j,
-    # the last one at hi instead.
+    return owner[~out], lo[~out], hi[~out], errors
+
+
+def _stretch_integrals(u: np.ndarray, v: np.ndarray, h: np.ndarray, order: float) -> np.ndarray:
+    """Exact integral of f**order where f runs linearly from u to v over width h.
+
+    The closed form h * (v**(r+1) - u**(r+1)) / ((r+1) * (v - u)) is taken
+    as h * b**r * phi((r+1)*L) / phi(L), phi(z) = expm1(z)/z, with b the
+    larger end when r >= -1 and the smaller one otherwise, and
+    L = log(other end / b): then (r+1)*L <= 0, so neither phi overflows
+    and their quotient is at most 1.  It stays exact as u -> v and at
+    r = -1.  A zero end (possible only for r > 0) gives h * b**r / (r+1).
+    The callers scale the values so that b**r <= 1.
+    """
+    if order >= -1.0:
+        b, other = np.maximum(u, v), np.minimum(u, v)
+    else:
+        b, other = np.minimum(u, v), np.maximum(u, v)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        lg = np.log(other / b)
+        z = (order + 1.0) * lg
+        quotient = np.where(z == 0.0, 1.0, np.expm1(z) / z) / np.where(
+            lg == 0.0, 1.0, np.expm1(lg) / lg
+        )
+        if order > 0.0:
+            quotient = np.where(other == 0.0, 1.0 / (order + 1.0), quotient)
+        return h * b**order * quotient
+
+
+def _table_scale(table: SampledTable, order: float) -> float:
+    # The largest value for order > 0 and the smallest for order < 0: every
+    # scaled stretch term is then at most its width.
+    return float(table.fs.max() if order > 0.0 else table.fs.min())
+
+
+def _knot_integrals(table: SampledTable, order: float) -> tuple[float, np.ndarray]:
+    """(scale, terms): the integral of f**order from knot k to knot k+1 is
+    scale**order * terms[k].
+
+    scale is _table_scale, so no term overflows; a term more than about
+    1e-300 below scale**order underflows.
+    """
+    scale = _table_scale(table, order)
+    with np.errstate(invalid="ignore"):  # an all-zero table scales to NaN
+        u, v = table.fs[:-1] / scale, table.fs[1:] / scale
+    return scale, _stretch_integrals(u, v, np.diff(table.xs), order)
+
+
+def _scaled_window_sums(table: SampledTable, lo: np.ndarray, hi: np.ndarray, order: float):
+    """_window_sums with each window scaled by its own largest (order > 0)
+    or smallest (order < 0) value, so its largest term is not small.
+
+    Costs one term per stretch of every window; the fallback for windows
+    whose terms are tiny at the table's scale.
+    """
+    xs, fs = table.xs, table.fs
+    # Window w has count[w] stretches; its stretch j ends at knot
+    # first[w] + j, its last one at hi instead.
     first = np.searchsorted(xs, lo, "right")
     count = np.searchsorted(xs, hi, "left") - first + 1
+    starts = np.cumsum(count) - count
     w = np.repeat(np.arange(len(lo)), count)
-    j = np.arange(len(w)) - np.repeat(np.cumsum(count) - count, count)
+    j = np.arange(len(w)) - starts[w]
     k = first[w] + j
-    piece_lo = np.where(j == 0, lo[w], xs[k - 1])
-    piece_hi = np.where(j == count[w] - 1, hi[w], xs[k])
-    return owner[w], piece_lo, piece_hi, errors
+    last = j == count[w] - 1
+    x0 = np.where(j == 0, lo[w], xs[k - 1])
+    x1 = np.where(last, hi[w], xs[k])
+    u = np.where(j == 0, np.interp(lo, xs, fs)[w], fs[k - 1])
+    v = np.where(last, np.interp(hi, xs, fs)[w], fs[k])
+    pick = np.maximum if order > 0.0 else np.minimum
+    scales = pick.reduceat(pick(u, v), starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = _stretch_integrals(u / scales[w], v / scales[w], x1 - x0, order)
+    # bincount adds each window's stretches to 0 one at a time, left to right.
+    return scales, np.bincount(w, weights=terms, minlength=len(lo))
+
+
+def _window_sums(table: SampledTable, lo: np.ndarray, hi: np.ndarray, order: float):
+    """(scales, sums): the integral of f**order over window i is
+    scales[i]**order * sums[i], exact up to rounding.
+
+    A window is its left end stretch (lo to its first inner knot), the
+    whole stretches between its inner knots and its right end stretch; a
+    window inside one gap is its left end stretch alone.  The whole
+    stretches are added by a cumulative sum that starts at the window's
+    first inner knot, shared by the windows that start in the same gap,
+    so every window sums positive terms from its own left end and none is
+    a difference of cumulative sums.  Terms use the table's scale; a
+    window whose sum is too small there to keep full precision is summed
+    again at its own scale.
+    """
+    xs, fs = table.xs, table.fs
+    n = len(lo)
+    scale = _table_scale(table, order)
+    first = np.searchsorted(xs, lo, "right")
+    last = np.searchsorted(xs, hi, "left") - 1
+    wide = first <= last
+    k0 = int(first.min())
+    k1 = max(k0, int(last.max()))
+    flo, fhi = np.interp(lo, xs, fs), np.interp(hi, xs, fs)
+    # The whole stretches k0..k1-1, then every window's left and right end
+    # stretch; the right end of a window inside one gap has width 0.
+    x0 = np.concatenate((xs[k0:k1], lo, np.where(wide, xs[last], hi)))
+    x1 = np.concatenate((xs[k0 + 1 : k1 + 1], np.where(wide, xs[first], hi), hi))
+    u = np.concatenate((fs[k0:k1], flo, np.where(wide, fs[last], fhi)))
+    v = np.concatenate((fs[k0 + 1 : k1 + 1], np.where(wide, fs[first], fhi), fhi))
+    with np.errstate(invalid="ignore"):  # an all-zero table scales to NaN
+        terms = _stretch_integrals(u / scale, v / scale, x1 - x0, order)
+    m = k1 - k0
+    inner = np.zeros(n)
+    for f0 in sorted(set(first[first < last].tolist())):
+        rows = np.flatnonzero((first == f0) & (last > f0))
+        running = np.cumsum(terms[f0 - k0 : int(last[rows].max()) - k0])
+        inner[rows] = running[last[rows] - f0 - 1]
+    sums = (terms[m : m + n] + inner) + terms[m + n :]
+    scales = np.full(n, scale)
+    # A sum this far below its width may have lost terms to underflow.
+    small = ~(sums >= 1e-200 * (hi - lo))
+    if small.any():
+        scales[small], sums[small] = _scaled_window_sums(table, lo[small], hi[small], order)
+    return scales, sums
+
+
+def _table_means(table: SampledTable, lo: np.ndarray, hi: np.ndarray, order: float):
+    """Exact means of one order over table windows (lo[i], hi[i]).
+
+    Every window lies inside the data.  Returns (values, errors) like
+    _means.  numpy's elementwise functions give each element the same bits
+    whatever the array length, so a mean does not depend on the batch it
+    is in.
+    """
+    if not len(lo):
+        return np.zeros(0), {}
+    scales, sums = _window_sums(table, lo, hi, order)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        exponent = np.log(sums / (hi - lo)) / order
+        log_mean = np.log(scales) + exponent
+        values = np.where(
+            np.abs(exponent) < 700.0, scales * np.exp(exponent), np.exp(log_mean)
+        )
+    undefined = ~((scales > 0.0) & (sums > 0.0))
+    errors = dict.fromkeys(
+        np.flatnonzero(undefined).tolist(),
+        DomainError("mean undefined: integral of f**order is not positive"),
+    )
+    for failed, exc in (
+        (log_mean > 700.0, NumericError("mean overflows double range")),
+        (log_mean < -700.0, NumericError("mean underflows double range")),
+    ):
+        errors.update(dict.fromkeys(np.flatnonzero(failed & ~undefined).tolist(), exc))
+    return values, errors
 
 
 def _means(f: FunctionSpec, lo, hi, order: float, tol: float, tighten: bool, max_levels: int):
@@ -548,16 +698,21 @@ def _means(f: FunctionSpec, lo, hi, order: float, tol: float, tighten: bool, max
         exc = DomainError("negative-order mean of a table containing zero values")
         errors.update((i, exc) for i in range(n) if i not in errors)
 
-    # Pieces with the same rule and cell count form one rectangular block;
-    # all table pieces form one.
     if isinstance(base, SampledTable):
-        blocks = {"knot": np.arange(len(plo))}
-    else:
-        zero = plo == 0.0
-        with np.errstate(divide="ignore"):
-            geometric = ~zero & (phi / plo > 10.0)
-        masks = {"zero": zero, "geo": geometric, "lin": ~zero & ~geometric}
-        blocks = {kind: np.flatnonzero(m) for kind, m in masks.items() if m.any()}
+        # One piece per window that is left: tables have no origin piece.
+        keep = np.array([i not in errors for i in owner.tolist()], dtype=bool)
+        values = np.zeros(n)
+        found, failed = _table_means(base, plo[keep], phi[keep], order)
+        values[owner[keep]] = found
+        errors.update((int(owner[keep][i]), exc) for i, exc in failed.items())
+        return values, np.zeros(n), errors
+
+    # Pieces with the same rule and cell count form one rectangular block.
+    zero = plo == 0.0
+    with np.errstate(divide="ignore"):
+        geometric = ~zero & (phi / plo > 10.0)
+    masks = {"zero": zero, "geo": geometric, "lin": ~zero & ~geometric}
+    blocks = {kind: np.flatnonzero(m) for kind, m in masks.items() if m.any()}
 
     lengths = hi - lo
     tols = np.full(n, tol)

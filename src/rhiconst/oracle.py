@@ -46,6 +46,7 @@ __all__ = [
     "brute_extension",
     "brute_halfline",
     "brute_max_curve",
+    "window_ratio",
 ]
 
 _GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -164,9 +165,22 @@ def _log_mean(integral: float, length: float, order: float) -> float:
     return (math.log(integral) - math.log(length)) / order
 
 
+def _log_ratio(f, pair, lo: float, hi: float, length: float, panels: int) -> float:
+    """log(M_beta / M_alpha) over (lo, hi), nan when a mean is out of range."""
+    la = _log_mean(_quad_integral(f, lo, hi, pair.alpha, panels), length, pair.alpha)
+    lb = _log_mean(_quad_integral(f, lo, hi, pair.beta, panels), length, pair.beta)
+    return lb - la
+
+
 # ---------------------------------------------------------------------------
 # Grids and validation
 # ---------------------------------------------------------------------------
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    # np.unique would import numpy.ma into every verify run.
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
 
 
 def _endpoint_grid(n: int) -> np.ndarray:
@@ -213,21 +227,30 @@ def brute_halfline(
             hi = start + width
             if start < dom_lo or hi > dom_hi:
                 continue
-            la = _log_mean(
-                _quad_integral(f, start, hi, pair.alpha, panels), width, pair.alpha
-            )
-            lb = _log_mean(
-                _quad_integral(f, start, hi, pair.beta, panels), width, pair.beta
-            )
-            if math.isnan(la) or math.isnan(lb):
-                continue
-            best = max(best, lb - la)
+            logr = _log_ratio(f, pair, start, hi, width, panels)
+            if not math.isnan(logr):
+                best = max(best, logr)
         return best
 
     best = max(row_best(start) for start in starts)
     if not math.isfinite(best):
         raise NumericError("no admissible interval produced finite means")
     return math.exp(best)
+
+
+def window_ratio(
+    f: FunctionSpec, pair: ExponentPair, lo: float, hi: float, cfg: OracleConfig | None = None
+) -> float:
+    """Mean ratio over one half-line window by the fixed-panel quadrature."""
+    cfg = cfg or OracleConfig()
+    _validate(f, pair)
+    dom_lo, dom_hi = f.domain
+    if not dom_lo <= lo < hi <= dom_hi:
+        raise DomainError(f"window ({lo:g}, {hi:g}) leaves the domain [{dom_lo:g}, {dom_hi:g}]")
+    logr = _log_ratio(f, pair, lo, hi, hi - lo, cfg.quad_panels)
+    if math.isnan(logr):
+        raise NumericError("a mean over the window left double range")
+    return math.exp(logr)
 
 
 def brute_extension(
@@ -246,7 +269,7 @@ def brute_extension(
     _validate(f, pair)
     depths = np.concatenate(([0.0], _endpoint_grid(cfg.interval_grid)))
     rights = _endpoint_grid(cfg.interval_grid * _WIDTH_NUM // _WIDTH_DEN)
-    ts = np.unique(np.concatenate((depths, rights)))
+    ts = _sorted_unique(np.concatenate((depths, rights)))
     panels = cfg.quad_panels
 
     def cumulative(order: float) -> np.ndarray:

@@ -517,6 +517,22 @@ def _suite_generic(seed: int) -> list[CheckResult]:
         )
     )
 
+    # A non-monotone table: the exhaustive search must reach the oracle's
+    # grid maximum, and the oracle's own quadrature must confirm the witness.
+    xs = np.linspace(0.5, 4.0, 24)
+    table = means.SampledTable(xs, 2.0 + np.sin(3.0 * xs) + 0.3 * np.cos(7.0 * xs))
+    est = generic.estimate_halfline(table, pair12, cfg)
+    brute = oracle.brute_halfline(table, pair12, orc)
+    again = oracle.window_ratio(table, pair12, est.witness.lo, est.witness.hi, orc)
+    out.append(
+        CheckResult(
+            "generic.table_search_reaches_oracle",
+            est.value >= brute * (1.0 - 1e-9) and _close(again, est.value, 1e-9),
+            f"search {est.value:.12g} vs brute {brute:.12g}; witness"
+            f" ({est.witness.lo:.6g}, {est.witness.hi:.6g}) re-evaluates to {again:.12g}",
+        )
+    )
+
     one_d = generic.estimate_halfline(means.ExpDecay(1.0), pair12, cfg)
     two_d = generic.estimate_halfline(
         means.ExpDecay(1.0), pair12, cfg, use_reduction=False

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rhiconst import cli, generic, power
+from rhiconst import cli, generic, oracle, power
 
 SQRT2 = math.sqrt(2.0)
 P_12 = 2.0 / math.sqrt(3.0)
@@ -219,20 +219,27 @@ def test_estimate_extension_reports_bound(capsys):
     assert results["extension_witness_lo"] < 0.0 < results["extension_witness_hi"]
 
 
-def test_estimate_table_not_certified(capsys, tmp_path):
+def test_estimate_monotone_table_only_validates_data(capsys, tmp_path):
+    # --monotone on a table checks the data; the search is the same
+    # exhaustive one as without it, and applies no reduction.
     path = write_table(
         tmp_path / "inc.csv",
         [(0.5 + 0.125 * k, (0.5 + 0.125 * k) ** 2 + 1.0) for k in range(61)],
     )
-    code, out, _ = run_cli(
-        capsys,
-        "estimate", "--alpha", "1", "--beta", "2", "--csv", path,
-        "--monotone", "inc",
-    )
+    argv = ("estimate", "--alpha", "1", "--beta", "2", "--csv", path)
+    code, out, _ = run_cli(capsys, *argv, "--monotone", "inc")
     assert code == 0
-    record = json.loads(out)
-    assert record["results"]["reduction_certified"] is False
-    assert record["diagnostics"]["monotonicity"] == "increasing"
+    declared = json.loads(out)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    undeclared = json.loads(out)
+    assert declared["results"] == undeclared["results"]
+    assert declared["results"]["reduction_certified"] is True
+    assert declared["results"]["halfline_converged"] is True
+    assert declared["diagnostics"]["monotonicity"] == "increasing"
+    assert undeclared["diagnostics"]["monotonicity"] == "unknown"
+    code, _, err = run_cli(capsys, *argv, "--monotone", "dec")
+    assert code == 4 and "declared decreasing" in err
 
 
 def test_estimate_monotone_contradiction(capsys):
@@ -252,6 +259,13 @@ def test_estimate_zero_table_negative_order(capsys, tmp_path):
     )
     assert code == 4
     assert "zero values" in err
+
+
+def test_estimate_all_zero_table_is_numeric_error(capsys, tmp_path):
+    path = write_table(tmp_path / "zero.csv", [(0.5, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    code, _, err = run_cli(capsys, "estimate", "--alpha", "1", "--beta", "2", "--csv", path)
+    assert code == 3
+    assert "no window of the table has finite means" in err
 
 
 def test_estimate_table_extension_refused(capsys, tmp_path):
@@ -317,19 +331,21 @@ def test_out_unwritable_path(capsys, tmp_path):
 
 def test_power_and_extension_runs_do_not_import_numpy_ma():
     # np.unique imports numpy.ma, about 1.3 MB of RSS in every process;
-    # the seed grids are deduplicated without it, to the same arrays.
+    # the seed grids and the oracle's abscissae are deduplicated without
+    # it, to the same arrays.
     script = (
         "import contextlib, io, sys\n"
         "from rhiconst import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['power', '--alpha', '1', '--beta', '2', '--gamma', '1']),\n"
         "             cli.main(['estimate', '--alpha', '1', '--beta', '2',\n"
-        "                       '--function', 'expdecay:lambda=1', '--extension'])]\n"
+        "                       '--function', 'expdecay:lambda=1', '--extension']),\n"
+        "             cli.main(['verify', '--suite', 'all', '--seed', '0'])]\n"
         "print(codes, 'numpy.ma' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0] False\n"
+    assert proc.stdout == "[0, 0, 0] False\n"
     for n in (64, 333, 4096):
         uniform = np.linspace(0.0, 1.0, n)
         tail = np.concatenate((np.logspace(-300.0, -16.0, 40), np.logspace(-16.0, -1.0, 46)))
@@ -337,6 +353,12 @@ def test_power_and_extension_runs_do_not_import_numpy_ma():
         assert np.array_equal(power._seed_grid(n), np.unique(np.concatenate((uniform, tail))))
         assert np.array_equal(
             generic._eps_seeds(n), np.unique(np.concatenate((uniform, eps_tail)))
+        )
+        depths = np.concatenate(([0.0], oracle._endpoint_grid(n)))
+        rights = oracle._endpoint_grid(n * 13 // 8)
+        assert np.array_equal(
+            oracle._sorted_unique(np.concatenate((depths, rights))),
+            np.unique(np.concatenate((depths, rights))),
         )
 
 

@@ -116,25 +116,71 @@ def test_estimates_agree_with_brute_force():
     assert abs(est_r.value - br) <= 1e-3 * br
 
 
-def test_table_reduction_is_flagged_uncertified():
+def test_monotone_table_gets_the_exhaustive_search():
+    # A declared monotonicity only validates a table: the search is the
+    # exhaustive knot-pair scan and polish either way, never the reduction
+    # to windows anchored at the first knot.
     xs = np.linspace(0.5, 8.0, 120)
     tables = [
-        SampledTable(xs, xs**2 + 1.0, Monotonicity.INCREASING),
-        # 0.1 + exp(log(7.9)) rounds above the last knot; the widest window
-        # must be clamped onto it rather than rejected.
-        SampledTable(
-            np.array([0.1, 0.5, 1.0, 2.0, 4.0, 8.0]),
-            np.array([1.0, 1.7, 2.2, 3.1, 3.3, 5.0]),
-            Monotonicity.INCREASING,
-        ),
+        (xs, xs**2 + 1.0),
+        (np.array([0.1, 0.5, 1.0, 2.0, 4.0, 8.0]), np.array([1.0, 1.7, 2.2, 3.1, 3.3, 5.0])),
     ]
-    for tbl in tables:
-        est = estimate_halfline(tbl, ExponentPair(1.0, 2.0), CFG)
-        assert not est.reduction_certified
-        assert est.witness.lo == tbl.domain[0]
-        assert est.witness.hi <= tbl.domain[1]
+    pair = ExponentPair(1.0, 2.0)
+    for knots, values in tables:
+        tbl = SampledTable(knots, values, Monotonicity.INCREASING)
+        est = estimate_halfline(tbl, pair, CFG)
+        assert est.reduction_certified
+        assert est == estimate_halfline(SampledTable(knots, values), pair, CFG)
+        assert tbl.domain[0] <= est.witness.lo < est.witness.hi <= tbl.domain[1]
         again = quad_mean(tbl, est.witness, 2.0).value / quad_mean(tbl, est.witness, 1.0).value
-        assert math.isclose(again, est.value, rel_tol=1e-8)
+        assert math.isclose(again, est.value, rel_tol=1e-12)
+        anchored = max(mean_ratio(tbl, Interval(knots[0], x), pair) for x in knots[1:])
+        assert est.value >= anchored
+
+
+def _knot_pair_best(tbl, pair):
+    xs = tbl.xs.tolist()
+    best = -math.inf
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            best = max(best, mean_ratio(tbl, Interval(xs[i], xs[j]), pair))
+    return best
+
+
+def _small_tables():
+    rng = np.random.default_rng(7)
+    pairs = [ExponentPair(1.0, 2.0), ExponentPair(-1.0, 1.0), ExponentPair(-2.0, -0.5)]
+    for k in range(9):
+        n = int(rng.integers(3, 31))
+        xs = np.cumsum(rng.uniform(0.05, 1.5, n)) + 0.2
+        fs = np.exp(rng.normal(0.0, 1.0, n))
+        yield xs, np.sort(fs) if k % 3 == 0 else fs, pairs[k % 3]
+    # The maximum of this one lies in the box of the second-best knot pair,
+    # which is next to the best one: skipping it loses 1.1%.
+    yield (
+        np.array([0.46231794347357497, 3.20226735632096, 5.362688714223436,
+                  6.5565998123772244, 6.931011326034207, 9.944480399783854,
+                  14.60355001219602, 16.888992571538186, 18.645067936586347,
+                  19.246309858652616]),
+        np.array([2.177238609914685, 0.6431861099561726, 0.7923196337059458,
+                  0.27170216853129736, 1.2291126546592646, 0.166431397544882,
+                  0.3622912821143907, 3.062294159738971, 0.9796449744965958,
+                  0.6952901427999716]),
+        ExponentPair(-2.0, -0.5),
+    )
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_table_search_reaches_every_knot_pair_and_the_oracle(case):
+    xs, fs, pair = list(_small_tables())[case]
+    tbl = SampledTable(xs, fs)
+    est = estimate_halfline(tbl, pair)
+    # The scan ranks pairs by sums that are not added in the same order as
+    # one window's mean, so a near-tie can rank in the last bits either way.
+    assert est.value >= _knot_pair_best(tbl, pair) * (1.0 - 1e-13)
+    assert est.value >= brute_halfline(tbl, pair) * (1.0 - 1e-9)
+    if np.all(np.diff(fs) >= 0.0):
+        assert estimate_halfline(SampledTable(xs, fs, Monotonicity.INCREASING), pair) == est
 
 
 def test_table_without_declared_monotonicity_gets_full_search():
@@ -174,15 +220,19 @@ def test_default_searches_are_pinned(search, expected):
     assert got == expected
 
 
-# A non-monotone table whose widest windows from the first knot end past
-# the last knot by rounding alone and are clamped onto it.
-CLAMPED_TABLE = SampledTable(
+# A non-monotone table small enough that its polishes score windows inside
+# one knot gap, windows over several knots and windows at both table ends.
+BUMPY_TABLE = SampledTable(
     np.array([0.1, 0.5, 1.0, 2.0, 4.0, 8.0]), np.array([1.0, 2.2, 1.7, 3.1, 1.3, 5.0])
 )
 
 
 def _interior(iv: Interval, geometric: bool) -> bool:
     return iv.lo > 0.0 and (iv.hi / iv.lo > 10.0) == geometric
+
+
+def _inner_knots(iv: Interval) -> int:
+    return int(np.sum((BUMPY_TABLE.xs > iv.lo) & (BUMPY_TABLE.xs < iv.hi)))
 
 
 @pytest.mark.parametrize(
@@ -213,11 +263,16 @@ def _interior(iv: Interval, geometric: bool) -> bool:
             ),
         ),
         (
-            lambda: estimate_halfline(CLAMPED_TABLE, ExponentPair(-1.0, 1.0), CFG),
-            lambda ivs, scores: any(iv.lo == 0.1 and iv.hi == 8.0 for iv in ivs),
+            lambda: estimate_halfline(BUMPY_TABLE, ExponentPair(-1.0, 1.0), CFG),
+            lambda ivs, scores: (
+                any(_inner_knots(iv) == 0 for iv in ivs)
+                and any(_inner_knots(iv) >= 2 for iv in ivs)
+                and any(iv.lo == 0.1 for iv in ivs)
+                and any(iv.hi == 8.0 for iv in ivs)
+            ),
         ),
     ],
-    ids=["pow-eps", "affpow-regular", "affpow-singular", "expdecay-2d", "table-clamped"],
+    ids=["pow-eps", "affpow-regular", "affpow-singular", "expdecay-2d", "table-polish"],
 )
 def test_batched_scores_equal_scalar_loop(monkeypatch, search, covers):
     # Every batch a search scores (slices of the seed grid, then each

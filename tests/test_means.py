@@ -1,10 +1,11 @@
 """Power means: quadrature against closed forms, symmetry, error taxonomy."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from rhiconst.core import (
     DataError,
@@ -221,18 +222,125 @@ def test_table_windows_split_at_knots_and_integrate_exactly():
         (1.0, 6.0),  # the whole table
     ]
     lo, hi = (np.array(v) for v in zip(*windows))
+    # A table window is one piece: its means are closed forms, not quadrature.
     owner, plo, phi, errors = means._pieces(tbl, lo, hi)
     assert errors == {}
-    for i, (a, b) in enumerate(windows):
-        mine = owner == i
-        assert np.all(phi[mine] > plo[mine])
-        assert plo[mine][0] == a and phi[mine][-1] == b
-        assert np.array_equal(plo[mine][1:], phi[mine][:-1])
-        assert np.array_equal(plo[mine][1:], xs[(xs > a) & (xs < b)])
-        for order in (1.0, 2.0):
-            got = quad_mean(tbl, Interval(a, b), order).value
+    assert owner.tolist() == [0, 1, 2, 3]
+    assert np.array_equal(plo, lo) and np.array_equal(phi, hi)
+    for order in (1.0, 2.0):
+        # The shared cumulative sums and the per-window split at the knots
+        # (the fallback for tiny sums) give the same integrals.
+        scales, sums = means._window_sums(tbl, lo, hi, order)
+        again, again_sums = means._scaled_window_sums(tbl, lo, hi, order)
+        assert np.allclose(scales**order * sums, again**order * again_sums, rtol=1e-14, atol=0.0)
+        for a, b in windows:
+            got = quad_mean(tbl, Interval(a, b), order)
             exact = _exact_table_mean(xs, tbl.fs, a, b, order)
-            assert math.isclose(got, exact, rel_tol=1e-13)
+            assert math.isclose(got.value, exact, rel_tol=1e-13)
+            assert got.abs_error_estimate == 0.0
+
+
+def _reference_table_mean(xs, fs, lo, hi, order):
+    """Power mean of the table over (lo, hi), stretch by stretch, in 60-digit
+    decimal arithmetic from the closed form
+    h * (v**(r+1) - u**(r+1)) / ((r+1) * (v - u)).
+
+    The end values are np.interp's floats, as in the code under test, so
+    only the integration is compared.  None when the integral is 0.
+    """
+    edges = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi]))
+    ends = np.interp(edges, xs, fs).tolist()
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r = Decimal(order)
+
+        def power(x, p):
+            return Decimal(0) if x == 0 else (p * x.ln()).exp()
+
+        total = Decimal(0)
+        for x0, x1, u, v in zip(edges[:-1].tolist(), edges[1:].tolist(), ends[:-1], ends[1:]):
+            h, u, v = Decimal(x1) - Decimal(x0), Decimal(u), Decimal(v)
+            if u == v:
+                total += h * power(u, r)
+            elif order == -1.0:
+                total += h * (v.ln() - u.ln()) / (v - u)
+            else:
+                total += h * (power(v, r + 1) - power(u, r + 1)) / ((r + 1) * (v - u))
+        if total == 0:
+            return None
+        return float(power(total / (Decimal(hi) - Decimal(lo)), 1 / r))
+
+
+@st.composite
+def _table_windows(draw):
+    n = draw(st.integers(2, 10))
+    gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1))
+    xs = draw(st.floats(0.1, 5.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    order = draw(st.floats(-50.0, 50.0).filter(lambda r: abs(r) >= 1e-3))
+    # Repeated values give flat stretches; zeros are admissible for order > 0.
+    values = st.one_of(st.just(1.0), st.floats(1e-8, 1e4))
+    if order > 0.0:
+        values = st.one_of(st.just(0.0), values)
+    fs = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+    def endpoint():
+        # A knot, or a point inside a gap.
+        k = draw(st.integers(0, n - 2))
+        t = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+        return float(min(xs[k] + t * (xs[k + 1] - xs[k]), xs[k + 1]))
+
+    lo, hi = sorted((endpoint(), endpoint()))
+    assume(lo < hi)
+    return xs, fs, lo, hi, order
+
+
+@given(_table_windows())
+def test_table_means_match_exact_reference(case):
+    xs, fs, lo, hi, order = case
+    tbl = SampledTable(xs, fs)
+    want = _reference_table_mean(xs, fs, lo, hi, order)
+    if want is None:
+        with pytest.raises(DomainError, match="not positive"):
+            quad_mean(tbl, Interval(lo, hi), order)
+        return
+    got = quad_mean(tbl, Interval(lo, hi), order).value
+    assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+
+def test_table_means_far_below_the_table_scale_keep_precision():
+    # At order 50 the small values are 1e-450 below the table's largest:
+    # scaled by the table they underflow, so these windows are summed at
+    # their own scale.
+    xs = np.linspace(1.0, 10.0, 10)
+    fs = np.array([1.0, 3e-9, 1e-9, 2e-9, 5e-9, 1e-9, 4e-9, 1.0, 2e-9, 1.0])
+    tbl = SampledTable(xs, fs)
+    for a, b in ((2.0, 7.0), (2.5, 6.2), (3.1, 3.9)):
+        for order in (50.0, 20.0, -50.0):
+            got = quad_mean(tbl, Interval(a, b), order).value
+            assert math.isclose(got, _reference_table_mean(xs, fs, a, b, order), rel_tol=1e-12)
+
+
+def test_table_window_integral_is_no_prefix_difference():
+    # f**4 falls from 1 to 1e-16 along the table, so a window at its end
+    # integrates to less than the rounding of a cumulative sum from the
+    # first knot: a difference of two such sums is wrong in every digit.
+    xs = np.linspace(1.0, 200.0, 200)
+    fs = np.geomspace(1.0, 1e-4, 200)
+    tbl = SampledTable(xs, fs)
+    i, j = 195, 199
+    scale, terms = means._knot_integrals(tbl, 4.0)
+    prefix = np.concatenate(([0.0], np.cumsum(terms)))
+    exact = math.fsum(terms[i:j].tolist())
+    assert abs((prefix[j] - prefix[i]) - exact) > 0.5 * exact
+    for a, b in ((xs[i], xs[j]), (xs[i] + 0.3, xs[j] - 0.6)):
+        got = quad_mean(tbl, Interval(a, b), 4.0).value
+        assert math.isclose(got, _reference_table_mean(xs, fs, a, b, 4.0), rel_tol=1e-12)
+    pair = ExponentPair(1.0, 4.0)
+    ratio = mean_ratio(tbl, Interval(xs[i], xs[j]), pair)
+    want = _reference_table_mean(xs, fs, xs[i], xs[j], 4.0) / _reference_table_mean(
+        xs, fs, xs[i], xs[j], 1.0
+    )
+    assert math.isclose(ratio, want, rel_tol=1e-12)
 
 
 def test_batches_across_chunk_boundaries_equal_scalar_calls():

@@ -7,7 +7,13 @@ import pytest
 
 from rhiconst.core import DataError, DomainError, ExponentPair
 from rhiconst.means import AffinePower, Monotonicity, PowerLaw, SampledTable
-from rhiconst.oracle import OracleConfig, brute_extension, brute_halfline, brute_max_curve
+from rhiconst.oracle import (
+    OracleConfig,
+    brute_extension,
+    brute_halfline,
+    brute_max_curve,
+    window_ratio,
+)
 from rhiconst.power import extension_curve, power_report
 
 P_12 = 1.1547005383792517  # 2/sqrt(3)
@@ -79,6 +85,19 @@ def test_table_halfline_works_and_extension_is_rejected():
     assert value >= 1.0
     with pytest.raises(DataError):
         brute_extension(tbl, ExponentPair(1.0, 2.0))
+
+
+def test_window_ratio_matches_closed_forms_and_checks_the_domain():
+    pair = ExponentPair(1.0, 2.0)
+    assert math.isclose(window_ratio(PowerLaw(1.0), pair, 0.0, 3.0), P_12, rel_tol=1e-9)
+    xs = np.linspace(1.0, 4.0, 7)
+    tbl = SampledTable(xs, xs.copy(), Monotonicity.INCREASING)
+    # On the tabulated identity, (1, 2) has M_2 / M_1 = sqrt(7/3) / (3/2).
+    assert math.isclose(window_ratio(tbl, pair, 1.0, 2.0), math.sqrt(7.0 / 3.0) / 1.5, rel_tol=1e-12)
+    with pytest.raises(DomainError):
+        window_ratio(tbl, pair, 0.5, 2.0)
+    with pytest.raises(DomainError):
+        window_ratio(tbl, pair, 2.0, 2.0)
 
 
 def test_brute_max_curve_flat_and_interior():
