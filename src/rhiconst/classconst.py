@@ -181,7 +181,6 @@ def gamma_sweep(
     pair: ExponentPair, gammas: Iterable[float], cfg: SearchConfig | None = None
 ) -> list[PowerRhiReport]:
     """Full power report for each exponent, in the given order."""
-    cfg = cfg or SearchConfig()
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise DomainError("gamma sweep needs at least one exponent")

@@ -31,7 +31,7 @@ from .core import (
     SearchConfig,
     gamma_domain,
 )
-from .generic import estimate_halfline, extension_ratio
+from .generic import QUAD_TOL, estimate_halfline, extension_ratio
 from .means import (
     AffinePower,
     ExpDecay,
@@ -170,28 +170,36 @@ def _parse_monotone(text: str) -> Monotonicity:
 
 _FUNCTION_FORMS = "pow:gamma=G | affpow:a=A,gamma=G,c=C | expdecay:lambda=L"
 
+# Function kinds: the spec class and its fields, in constructor order.
+_FUNCTION_KINDS = {
+    "pow": (PowerLaw, ("gamma",)),
+    "affpow": (AffinePower, ("a", "gamma", "c")),
+    "expdecay": (ExpDecay, ("lambda",)),
+}
+
 
 def _parse_function(text: str) -> FunctionSpec:
     kind, _, rest = text.partition(":")
+    if kind not in _FUNCTION_KINDS:
+        raise DomainError(f"unknown function kind {kind!r}; expected {_FUNCTION_FORMS}")
+    spec, fields = _FUNCTION_KINDS[kind]
     params: dict[str, float] = {}
     for part in filter(None, rest.split(",")):
         key, eq, value = part.partition("=")
         if not eq:
             raise DomainError(f"function spec field {part!r} is not key=value")
+        if key not in fields:
+            raise DomainError(f"function spec {text!r} has unknown field {key!r}")
+        if key in params:
+            raise DomainError(f"function spec {text!r} repeats field {key!r}")
         try:
             params[key] = float(value)
         except ValueError as exc:
             raise DomainError(f"function spec field {part!r} is not numeric") from exc
-    try:
-        if kind == "pow":
-            return PowerLaw(params.pop("gamma"))
-        if kind == "affpow":
-            return AffinePower(params.pop("a"), params.pop("gamma"), params.pop("c"))
-        if kind == "expdecay":
-            return ExpDecay(params.pop("lambda"))
-    except KeyError as exc:
-        raise DomainError(f"function spec {text!r} is missing field {exc}") from exc
-    raise DomainError(f"unknown function kind {kind!r}; expected {_FUNCTION_FORMS}")
+    for key in fields:
+        if key not in params:
+            raise DomainError(f"function spec {text!r} is missing field {key!r}")
+    return spec(*(params[key] for key in fields))
 
 
 def _pair_from(args) -> ExponentPair:
@@ -283,9 +291,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _estimate_results(f: FunctionSpec, pair: ExponentPair, args) -> dict:
-    cfg = SearchConfig()
-    rep = extension_ratio(f, pair, cfg) if args.extension else None
-    est = estimate_halfline(f, pair, cfg) if rep is None else rep.halfline
+    rep = extension_ratio(f, pair) if args.extension else None
+    est = estimate_halfline(f, pair) if rep is None else rep.halfline
     results = {
         "halfline_value": est.value,
         "halfline_witness_lo": est.witness.lo,
@@ -337,7 +344,7 @@ def _cmd_estimate(args) -> int:
             "extension": args.extension,
         },
         _estimate_results(f, pair, args),
-        {"quad_tol": SearchConfig().quad_tol, "monotonicity": f.monotonicity.value},
+        {"quad_tol": QUAD_TOL, "monotonicity": f.monotonicity.value},
     )
     _emit(_render_json(record) + "\n", args.out)
     return 0

@@ -239,71 +239,34 @@ class Interval:
 # Search configuration
 # ---------------------------------------------------------------------------
 
+# Largest eps_grid accepted: the shape-curve scan holds about a dozen
+# float arrays of this length.
+_EPS_GRID_MAX = 1 << 20
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grids, tolerances and budgets for quadrature and supremum searches.
-
-    One config object travels through a whole computation so that every
-    stage refines consistently.  Defaults are tuned for roughly 1e-8
-    accuracy on the optimizer side and 1e-10 on closed-form identities.
+    """The two seed grids a caller may size.
 
     Attributes
     ----------
     eps_grid:
         Seed points of the dense global grid used when maximizing the
-        shape curve over [0, 1].  The grid is scanned in full before any
-        local refinement because no unimodality guarantee exists.
-    quad_tol:
-        Mixed absolute/relative tolerance requested from quad_mean inside
-        supremum searches.
-    quad_max_levels:
-        Mesh doubling budget for adaptive quadrature.
-    scale_min, scale_max:
-        Log-spaced range of interval scales explored by the generic
-        supremum searches.
+        shape curve over [0, 1], from 64 to 2**20.  The grid is scanned
+        in full before any local refinement because no unimodality
+        guarantee exists.
     interval_grid:
-        Seed points per dimension in the interval searches.
-    refine_rounds, refine_shrink:
-        Local refinement keeps the incumbent, shrinks the local span by
-        refine_shrink per round and rescans.  refine_rounds caps the
-        number of rounds; refinement stops as soon as a round gains less
-        than converge_rtol.
-    converge_rtol:
-        A search reports converged=True when some refinement round within
-        the budget improved the incumbent by less than this relative
-        amount.
+        Seed points per dimension in the interval searches, at least 8.
 
-    The half-line search of a sampled table reads only refine_rounds and
-    refine_shrink: its means are exact closed forms, its windows come from
-    its knots, and its local polish stops once a round gains less than a
-    fixed 1e-12.
+    The quadrature tolerance, the scale window and the refinement budget
+    of the interval searches are fixed constants of generic.
     """
 
     eps_grid: int = 4096
-    quad_tol: float = 1e-8
-    quad_max_levels: int = 12
-    scale_min: float = 1e-3
-    scale_max: float = 1e3
     interval_grid: int = 64
-    refine_rounds: int = 12
-    refine_shrink: float = 4.0
-    converge_rtol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.eps_grid < 64:
-            raise DomainError("eps_grid must be at least 64")
+        if not 64 <= self.eps_grid <= _EPS_GRID_MAX:
+            raise DomainError(f"eps_grid must lie between 64 and {_EPS_GRID_MAX}")
         if self.interval_grid < 8:
             raise DomainError("interval_grid must be at least 8")
-        if not 0.0 < self.quad_tol < 1.0:
-            raise DomainError("quad_tol must lie in (0, 1)")
-        if self.quad_max_levels < 2:
-            raise DomainError("quad_max_levels must be at least 2")
-        if not 0.0 < self.scale_min < self.scale_max:
-            raise DomainError("need 0 < scale_min < scale_max")
-        if self.refine_rounds < 0:
-            raise DomainError("refine_rounds must be nonnegative")
-        if self.refine_shrink <= 1.0:
-            raise DomainError("refine_shrink must exceed 1")
-        if not 0.0 < self.converge_rtol < 1.0:
-            raise DomainError("converge_rtol must lie in (0, 1)")

@@ -27,7 +27,7 @@ inside the neighbouring stretches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .core import (
     ExponentPair,
     Interval,
     NumericError,
-    QuadratureError,
     SearchConfig,
 )
 from .means import (
@@ -48,8 +47,8 @@ from .means import (
     PowerLaw,
     SampledTable,
     _knot_integrals,
+    _scored_ratios,
     mean_ratio,
-    mean_ratios,
 )
 
 __all__ = [
@@ -74,7 +73,7 @@ _SCAN_BLOCK = 1 << 14
 # Knot pairs considered for the polish after the scan, seeds per stretch
 # beside each polished knot (the knot included), and the gain below which
 # a polish round ends it.  Table means are exact, so the polish can settle
-# to near rounding instead of to the quadrature-level converge_rtol.
+# to near rounding instead of to the quadrature-level _CONVERGE_RTOL.
 _POLISH_PAIRS = 16
 _POLISH_SEEDS = 5
 _POLISH_RTOL = 1e-12
@@ -86,7 +85,7 @@ class SupremumEstimate:
 
     value is a lower bound on the true supremum.  converged reports that
     the last refinement round improved the incumbent by less than the
-    configured relative amount; it is not an upper-bound certificate.
+    search's relative stopping gain; it is not an upper-bound certificate.
     reduction_certified is False when a dimensional reduction was applied
     outside the setting that justifies it.  Every search here reduces only
     where the reduction is proven, so it is always True; it stays part of
@@ -132,14 +131,29 @@ class ExtensionRatio:
 # Search engine
 # ---------------------------------------------------------------------------
 #
-# The engine scores whole point sets at once: score(points) maps an
-# (n, d) array of coordinates to n mean ratios, so the seed grid and each
-# refinement stencil cost one batched quadrature pass (means.mean_ratios)
-# instead of one Python call per interval.  Points whose interval cannot
-# be built or evaluated (overflow, exhausted quadrature, degenerate
-# cells) score -inf, never NaN, and count as plain non-maxima.
-# Coordinates are whatever the caller chose (log-scale or linear);
-# refinement is linear in that coordinate.
+# The engine scores whole point sets at once: a search family
+# bounds(points) maps an (n, d) array of coordinates to the endpoint
+# arrays (lo, hi) of n intervals, and the seed grid and each refinement
+# stencil cost one batched quadrature pass (means._scored_ratios) per
+# _SCORE_SLICE points instead of one Python call per interval.  A row that
+# is no interval (an endpoint not finite, or lo >= hi) or cannot be
+# evaluated (overflow, exhausted quadrature) scores -inf, never NaN, and
+# counts as a plain non-maximum.  Coordinates are whatever the caller
+# chose (log-scale or linear); refinement is linear in that coordinate.
+#
+# Every mean is taken to QUAD_TOL within _QUAD_MAX_LEVELS mesh doublings.
+# A search runs at most _REFINE_ROUNDS rounds, shrinking its brackets by
+# _REFINE_SHRINK each, and stops after a round that gains less than
+# _CONVERGE_RTOL (relative).  The analytic searches seed widths, right
+# ends and nonzero starts log-uniformly over [_SCALE_MIN, _SCALE_MAX].
+
+QUAD_TOL = 1e-8
+_QUAD_MAX_LEVELS = 12
+_REFINE_ROUNDS = 12
+_REFINE_SHRINK = 4.0
+_CONVERGE_RTOL = 1e-6
+_SCALE_MIN = 1e-3
+_SCALE_MAX = 1e3
 
 
 def _product(axes) -> np.ndarray:
@@ -147,16 +161,17 @@ def _product(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _grid_refine(score, seeds, cfg: SearchConfig):
+def _grid_refine(score, seeds, rtol: float = _CONVERGE_RTOL):
     """Maximize a vectorised score over the product of per-axis seed arrays.
 
     The whole seed grid is scored and the first maximum becomes the
-    incumbent, bracketed per axis by its neighbouring seeds.  Each
-    refinement round scores a 9-point-per-axis stencil over the brackets
-    and moves the incumbent to the stencil's first maximum only on a
-    strict improvement.  A round that gains less than converge_rtol ends
-    the search; otherwise every bracket shrinks by refine_shrink around
-    the incumbent, clipped to the seed range of its axis.
+    incumbent, bracketed per axis by its neighbouring seeds.  Each of at
+    most _REFINE_ROUNDS refinement rounds scores a 9-point-per-axis
+    stencil over the brackets and moves the incumbent to the stencil's
+    first maximum only on a strict improvement.  A round that gains less
+    than rtol (relative) ends the search; otherwise every bracket shrinks
+    by _REFINE_SHRINK around the incumbent, clipped to the seed range of
+    its axis.
 
     Returns (point, best, evals, converged) with point a tuple of floats.
     """
@@ -174,7 +189,7 @@ def _grid_refine(score, seeds, cfg: SearchConfig):
     ]
     evals = len(vals)
     converged = False
-    for _ in range(cfg.refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         previous = best
         stencil = _product([np.linspace(lo, hi, 9) for lo, hi in brackets])
         vals = score(stencil)
@@ -182,10 +197,10 @@ def _grid_refine(score, seeds, cfg: SearchConfig):
         k = int(np.argmax(vals))
         if vals[k] > best:
             best, point = float(vals[k]), tuple(stencil[k].tolist())
-        if (best - previous) / previous < cfg.converge_rtol:
+        if (best - previous) / previous < rtol:
             converged = True
             break
-        halves = [(hi - lo) / (2.0 * cfg.refine_shrink) for lo, hi in brackets]
+        halves = [(hi - lo) / (2.0 * _REFINE_SHRINK) for lo, hi in brackets]
         brackets = [
             (max(float(s[0]), x - half), min(float(s[-1]), x + half))
             for s, x, half in zip(seeds, point, halves)
@@ -193,36 +208,36 @@ def _grid_refine(score, seeds, cfg: SearchConfig):
     return point, best, evals, converged
 
 
-def _search(f: FunctionSpec, pair: ExponentPair, cfg: SearchConfig, interval_at, seeds):
-    """Largest mean ratio of f over the intervals interval_at(*point).
+def _search(f: FunctionSpec, pair: ExponentPair, bounds, seeds, rtol: float = _CONVERGE_RTOL):
+    """Largest mean ratio of f over the intervals of the family bounds.
 
-    Returns (value, witness, evals, converged).  The witness is scored
-    once more by the scalar mean_ratio, which must give the batched value
-    exactly.
+    bounds(points) gives the endpoint arrays (lo, hi) of the intervals at
+    an (n, d) array of points.  Returns (value, witness, evals,
+    converged).  The witness is scored once more by the scalar
+    mean_ratio, which must give the batched value exactly.
     """
-    tol, levels = cfg.quad_tol, cfg.quad_max_levels
-
-    def score_slice(points: np.ndarray) -> np.ndarray:
-        scores = np.full(len(points), -math.inf)
-        rows, intervals = [], []
-        for row, point in enumerate(points.tolist()):
-            try:
-                intervals.append(interval_at(*point))
-            except (DomainError, NumericError, QuadratureError):
-                continue
-            rows.append(row)
-        scores[rows] = mean_ratios(f, intervals, pair, tol, levels)
-        return scores
 
     def score(points: np.ndarray) -> np.ndarray:
-        starts = range(0, len(points), _SCORE_SLICE)
-        return np.concatenate([score_slice(points[i : i + _SCORE_SLICE]) for i in starts])
+        scores = np.full(len(points), -math.inf)
+        for i in range(0, len(points), _SCORE_SLICE):
+            lo, hi = bounds(points[i : i + _SCORE_SLICE])
+            ok = np.isfinite(lo) & np.isfinite(hi) & (lo < hi)
+            found = _scored_ratios(f, lo[ok], hi[ok], pair, QUAD_TOL, _QUAD_MAX_LEVELS)
+            scores[i : i + _SCORE_SLICE][ok] = found
+        return scores
 
-    point, value, evals, converged = _grid_refine(score, seeds, cfg)
-    witness = interval_at(*point)
-    if mean_ratio(f, witness, pair, tol, levels) != value:
+    point, value, evals, converged = _grid_refine(score, seeds, rtol)
+    lo, hi = bounds(np.array([point]))
+    witness = Interval(lo[0], hi[0])
+    if mean_ratio(f, witness, pair, QUAD_TOL, _QUAD_MAX_LEVELS) != value:
         raise NumericError("the witness does not reproduce its batched score")
     return value, witness, evals, converged
+
+
+def _exp(w: np.ndarray) -> np.ndarray:
+    # math, not numpy: np.exp can differ from math.exp in the last bit,
+    # which would move every witness.
+    return np.array([math.exp(x) for x in w.tolist()])
 
 
 def _check_input(f: FunctionSpec, pair: ExponentPair, touches_origin: bool) -> None:
@@ -312,10 +327,10 @@ def _knot_seeds(xs: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _search_table(table: SampledTable, pair: ExponentPair, cfg: SearchConfig) -> SupremumEstimate:
+def _search_table(table: SampledTable, pair: ExponentPair) -> SupremumEstimate:
     """Exhaustive knot-pair scan, then a local polish of the best pairs.
 
-    Each polish is a 2-D search over Interval(a, b) with a and b free in
+    Each polish is a 2-D search over windows (a, b) with a and b free in
     the stretches beside the pair's two knots (its box), until a round
     gains less than _POLISH_RTOL; its seed grid holds the knot pair
     itself.  A pair whose knots are both within one knot of a better pair
@@ -326,13 +341,12 @@ def _search_table(table: SampledTable, pair: ExponentPair, cfg: SearchConfig) ->
     """
     xs = table.xs
     pairs, evals = _scan_knot_pairs(table, pair)
-    polish_cfg = replace(cfg, converge_rtol=_POLISH_RTOL)
     settled, best = [], None
     for i, j in pairs:
         if any(abs(i - a) <= 1 and abs(j - b) <= 1 for a, b in settled):
             continue
         box = [_knot_seeds(xs, i), _knot_seeds(xs, j)]
-        found = _search(table, pair, polish_cfg, Interval, box)
+        found = _search(table, pair, lambda p: (p[:, 0], p[:, 1]), box, _POLISH_RTOL)
         evals += found[2]
         if best is None or found[0] > best[0]:
             best = found
@@ -362,22 +376,26 @@ def estimate_halfline(
     cfg = cfg or SearchConfig()
     _check_input(f, pair, touches_origin=True)
     if isinstance(f, SampledTable):
-        return _search_table(f, pair, cfg)
+        return _search_table(f, pair)
 
-    def window(a: float, w: float) -> Interval:
-        return Interval(a, a + math.exp(w))
+    def anchored(points: np.ndarray):
+        # +0.0 on every row: 0.0 * w would give -0.0 for w < 0.
+        return np.zeros(len(points)), _exp(points[:, 0])
+
+    def window(points: np.ndarray):
+        return points[:, 0], points[:, 0] + _exp(points[:, 1])
 
     # Starts are linear so a 0 anchor can participate.  Widths live in log
-    # space over the configured scale window.
+    # space over the scale window.
     n = cfg.interval_grid
-    starts = np.concatenate(([0.0], np.geomspace(cfg.scale_min, cfg.scale_max, n - 1)))
-    wseeds = np.linspace(math.log(cfg.scale_min), math.log(cfg.scale_max), n)
+    starts = np.concatenate(([0.0], np.geomspace(_SCALE_MIN, _SCALE_MAX, n - 1)))
+    wseeds = np.linspace(math.log(_SCALE_MIN), math.log(_SCALE_MAX), n)
 
     if use_reduction and f.monotonicity is not Monotonicity.UNKNOWN:
-        return SupremumEstimate(*_search(f, pair, cfg, lambda w: window(0.0, w), [wseeds]))
+        return SupremumEstimate(*_search(f, pair, anchored, [wseeds]))
 
     # Full 2-D search over (start, width).
-    return SupremumEstimate(*_search(f, pair, cfg, window, [starts, wseeds]))
+    return SupremumEstimate(*_search(f, pair, window, [starts, wseeds]))
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +433,16 @@ def estimate_extension(
     _check_input(f, pair, touches_origin=True)
     extended = EvenExtensionView(f)
 
-    def straddle(eps: float, w: float = 0.0) -> Interval:
-        b = math.exp(w)
-        return Interval(-eps * b, b)
+    def straddle(points: np.ndarray):
+        # Rows are (eps, log b), or eps alone at b = 1.
+        b = _exp(points[:, 1]) if points.shape[1] > 1 else np.ones(len(points))
+        return -points[:, 0] * b, b
 
     eps_seeds = _eps_seeds(cfg.interval_grid)
     if isinstance(f, PowerLaw):
-        return SupremumEstimate(*_search(extended, pair, cfg, straddle, [eps_seeds]))
-    bseeds = np.linspace(math.log(cfg.scale_min), math.log(cfg.scale_max), cfg.interval_grid)
-    return SupremumEstimate(*_search(extended, pair, cfg, straddle, [eps_seeds, bseeds]))
+        return SupremumEstimate(*_search(extended, pair, straddle, [eps_seeds]))
+    bseeds = np.linspace(math.log(_SCALE_MIN), math.log(_SCALE_MAX), cfg.interval_grid)
+    return SupremumEstimate(*_search(extended, pair, straddle, [eps_seeds, bseeds]))
 
 
 def extension_ratio(
@@ -434,7 +453,6 @@ def extension_ratio(
     Both searches must converge; the ratio of two unsettled lower bounds
     says nothing and is refused rather than reported.
     """
-    cfg = cfg or SearchConfig()
     halfline = estimate_halfline(f, pair, cfg)
     extension = estimate_extension(f, pair, cfg)
     if not (halfline.converged and extension.converged):

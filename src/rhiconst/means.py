@@ -822,10 +822,9 @@ def quad_mean(
     return MeanValue(float(values[0]), order, interval, float(diffs[0]))
 
 
-def _ratios(f, intervals, pair, tol, max_levels) -> tuple[np.ndarray, dict[int, RhiError]]:
+def _ratios(f, lo, hi, pair, tol, max_levels) -> tuple[np.ndarray, dict[int, RhiError]]:
     if not (0.0 < tol < 1.0):
         raise DomainError("tolerance must lie in (0, 1)")
-    lo, hi = _bounds(intervals)
     # The beta mean comes first: an interval fails with the beta mean's
     # error when it has one, and only the others get an alpha pass.
     ratios, _, errors = _means(f, lo, hi, pair.beta, tol / 3.0, True, max_levels)
@@ -838,6 +837,15 @@ def _ratios(f, intervals, pair, tol, max_levels) -> tuple[np.ndarray, dict[int, 
         ratios[rest] /= alpha
     ratios[list(errors)] = -math.inf
     return ratios, errors
+
+
+def _scored_ratios(f, lo: np.ndarray, hi: np.ndarray, pair, tol, max_levels) -> np.ndarray:
+    """mean_ratios over the intervals (lo[i], hi[i]); each must be finite with lo < hi."""
+    ratios, errors = _ratios(f, lo, hi, pair, tol, max_levels)
+    for exc in errors.values():
+        if not isinstance(exc, (DomainError, NumericError, QuadratureError)):
+            raise exc
+    return ratios
 
 
 def mean_ratio(
@@ -854,7 +862,7 @@ def mean_ratio(
     accuracy even when the means themselves are far from 1.  For valid
     inputs the result is >= 1 - tol.
     """
-    ratios, errors = _ratios(f, [interval], pair, tol, max_levels)
+    ratios, errors = _ratios(f, *_bounds([interval]), pair, tol, max_levels)
     if errors:
         raise errors[0]
     return float(ratios[0])
@@ -873,8 +881,4 @@ def mean_ratios(
     QuadratureError scores -inf; any other error, such as a window
     leaving a table's data, is raised.
     """
-    ratios, errors = _ratios(f, intervals, pair, tol, max_levels)
-    for exc in errors.values():
-        if not isinstance(exc, (DomainError, NumericError, QuadratureError)):
-            raise exc
-    return ratios
+    return _scored_ratios(f, *_bounds(intervals), pair, tol, max_levels)

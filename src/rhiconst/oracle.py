@@ -51,8 +51,8 @@ __all__ = [
 
 _GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
-# Mirror of the estimator's default search window; agreement invariants
-# compare suprema taken over the same range of interval endpoints.
+# Own copy of generic's fixed scale window (_SCALE_MIN, _SCALE_MAX): the
+# oracle stays independent but takes suprema over the same endpoints.
 _SCALE_LO = 1e-3
 _SCALE_HI = 1e3
 

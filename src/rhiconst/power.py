@@ -319,7 +319,6 @@ def power_report(
     pair: ExponentPair, gamma: float, cfg: SearchConfig | None = None
 ) -> PowerRhiReport:
     """Assemble constants, maximizer and residual for one pure power."""
-    cfg = cfg or SearchConfig()
     h = halfline_constant(pair, gamma)
     eps_star, curve_max = maximize_curve(pair, gamma, cfg)
     applicable = 0.0 < eps_star < 1.0

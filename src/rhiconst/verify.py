@@ -479,7 +479,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
     )
 
     est = generic.estimate_halfline(means.ExpDecay(1.0), pair12, cfg)
-    re_eval = means.mean_ratio(means.ExpDecay(1.0), est.witness, pair12, cfg.quad_tol)
+    re_eval = means.mean_ratio(means.ExpDecay(1.0), est.witness, pair12, generic.QUAD_TOL)
     out.append(
         CheckResult(
             "generic.witness_reproduces_reported_value",
@@ -493,7 +493,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
     est = generic.estimate_extension(f, pair12, cfg)
     view = means.EvenExtensionView(f)
     mirrored = means.mean_ratio(
-        view, Interval(-est.witness.hi, -est.witness.lo), pair12, cfg.quad_tol
+        view, Interval(-est.witness.hi, -est.witness.lo), pair12, generic.QUAD_TOL
     )
     out.append(
         CheckResult(

@@ -78,6 +78,15 @@ def test_power_rejects_boundary_gamma(capsys):
     assert "domain error" in err
 
 
+def test_power_rejects_a_grid_too_large_to_allocate(capsys):
+    code, out, err = run_cli(
+        capsys, "power", "--alpha", "1", "--beta", "2", "--gamma", "1", "--grid", "1048577"
+    )
+    assert code == 2
+    assert out == ""
+    assert "eps_grid" in err
+
+
 # ---------------------------------------------------------------------------
 # class
 # ---------------------------------------------------------------------------
@@ -284,6 +293,25 @@ def test_estimate_unknown_function_kind(capsys):
     )
     assert code == 2
     assert "unknown function kind" in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("pow:gamma=1,gama=3", "unknown field 'gama'"),
+        ("pow:gamma=1,gamma=2", "repeats field 'gamma'"),
+        ("expdecay:lambda=1,a=5", "unknown field 'a'"),
+        ("affpow:a=1,gamma=2", "missing field 'c'"),
+    ],
+    ids=["misspelt", "repeated", "foreign", "missing"],
+)
+def test_estimate_rejects_unknown_and_repeated_fields(capsys, spec, message):
+    code, out, err = run_cli(
+        capsys, "estimate", "--alpha", "1", "--beta", "2", "--function", spec
+    )
+    assert code == 2
+    assert out == ""
+    assert "domain error" in err and message in err
 
 
 # ---------------------------------------------------------------------------

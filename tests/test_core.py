@@ -154,14 +154,21 @@ def test_search_config_validation():
     bad = [
         dict(eps_grid=63),
         dict(interval_grid=7),
-        dict(quad_tol=-1e-9),
-        dict(quad_max_levels=1),
-        dict(scale_min=0.0),
-        dict(scale_min=10.0, scale_max=1.0),
-        dict(refine_rounds=-1),
-        dict(refine_shrink=1.0),
-        dict(converge_rtol=0.0),
     ]
     for kwargs in bad:
         with pytest.raises(DomainError):
             SearchConfig(**kwargs)
+    # Tolerances, the scale window and the refinement budget are fixed in
+    # generic; the config no longer takes them.
+    gone = (
+        "quad_tol",
+        "quad_max_levels",
+        "scale_min",
+        "scale_max",
+        "refine_rounds",
+        "refine_shrink",
+        "converge_rtol",
+    )
+    for name in gone:
+        with pytest.raises(TypeError):
+            SearchConfig(**{name: 1.0})

@@ -29,7 +29,6 @@ from rhiconst.means import (
     PowerLaw,
     SampledTable,
     mean_ratio,
-    mean_ratios,
     quad_mean,
 )
 from rhiconst.oracle import brute_extension, brute_halfline
@@ -279,13 +278,15 @@ def test_batched_scores_equal_scalar_loop(monkeypatch, search, covers):
     # stencil) must score exactly as a loop of scalar mean_ratio calls,
     # failed cells (-inf) included.
     batches = []
+    scored = generic._scored_ratios
 
-    def recording(f, intervals, pair, tol, levels):
-        got = mean_ratios(f, intervals, pair, tol, levels)
-        batches.append((f, list(intervals), pair, tol, levels, got))
+    def recording(f, lo, hi, pair, tol, levels):
+        got = scored(f, lo, hi, pair, tol, levels)
+        intervals = [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        batches.append((f, intervals, pair, tol, levels, got))
         return got
 
-    monkeypatch.setattr(generic, "mean_ratios", recording)
+    monkeypatch.setattr(generic, "_scored_ratios", recording)
     search()
     assert len(batches) > 1
     for f, intervals, pair, tol, levels, got in batches:
@@ -298,6 +299,47 @@ def test_batched_scores_equal_scalar_loop(monkeypatch, search, covers):
         assert got.tolist() == want
     intervals = [iv for batch in batches for iv in batch[1]]
     assert covers(intervals, np.concatenate([batch[-1] for batch in batches]))
+
+
+# Seeds of _masked_family that give no interval: a NaN end, an infinite
+# end, an empty window and a reversed one.
+BAD_BOUNDS = {-4.0: (math.nan, 8.0), -3.0: (0.5, math.inf), -2.0: (2.0, 2.0), -1.0: (4.0, 1.0)}
+
+
+def _masked_family(points):
+    # Windows (t, 8) of BUMPY_TABLE, and the BAD_BOUNDS at their seeds.
+    t = points[:, 0]
+    lo, hi = t.copy(), np.full(len(t), 8.0)
+    for seed, (a, b) in BAD_BOUNDS.items():
+        lo[t == seed], hi[t == seed] = a, b
+    return lo, hi
+
+
+def test_search_scores_invalid_bounds_as_minus_inf(monkeypatch):
+    pair = ExponentPair(-1.0, 1.0)
+    valid = np.linspace(0.1, 7.0, 12)
+    seeds = np.concatenate((list(BAD_BOUNDS), valid))
+    grids = []
+    refine = generic._grid_refine
+
+    def recording(score, seeds, rtol):
+        def scored(points):
+            got = score(points)
+            grids.append((points, got))
+            return got
+
+        return refine(scored, seeds, rtol)
+
+    monkeypatch.setattr(generic, "_grid_refine", recording)
+    masked = generic._search(BUMPY_TABLE, pair, _masked_family, [seeds])
+    points, got = grids[0]
+    bad = np.isin(points[:, 0], list(BAD_BOUNDS))
+    assert bad.sum() == len(BAD_BOUNDS)
+    assert np.isneginf(got[bad]).all() and np.isfinite(got[~bad]).all()
+    plain = generic._search(BUMPY_TABLE, pair, _masked_family, [valid])
+    # Same value, witness and refinement; only the four bad seeds more.
+    assert masked[:2] == plain[:2]
+    assert masked[2] == plain[2] + len(BAD_BOUNDS)
 
 
 def test_table_extension_is_rejected():
