@@ -56,6 +56,10 @@ _SWEEP_GAMMA_COLUMNS = (
 )
 _SWEEP_BETA_COLUMNS = ("beta", "class_constant", "upper_bound", "ratio")
 
+# Most rows one sweep may ask for: a gamma row takes 1 to 3 ms, so the cap
+# keeps a sweep within about 30 s and its sequence arrays small.
+_SEQUENCE_MAX = 10_000
+
 
 # ---------------------------------------------------------------------------
 # Rendering
@@ -149,6 +153,8 @@ def _parse_sequence(spec: str, spacing: str) -> list[float]:
         raise DomainError(f"sequence spec {spec!r} has a non-numeric field") from exc
     if count < 1:
         raise DomainError("sequence count must be at least 1")
+    if count > _SEQUENCE_MAX:
+        raise DomainError(f"sequence count {count} exceeds the cap of {_SEQUENCE_MAX}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError("sequence endpoints must be finite")
     if count == 1:
@@ -393,8 +399,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="tables over gamma or beta sequences")
     add_common(p, fmt=True, beta_required=False)
-    p.add_argument("--gamma", default=None, help="gamma sequence start:stop:count")
-    p.add_argument("--beta-seq", default=None, help="beta sequence start:stop:count")
+    p.add_argument(
+        "--gamma",
+        default=None,
+        help=f"gamma sequence start:stop:count, count at most {_SEQUENCE_MAX}",
+    )
+    p.add_argument(
+        "--beta-seq",
+        default=None,
+        help=f"beta sequence start:stop:count, count at most {_SEQUENCE_MAX}",
+    )
     p.add_argument(
         "--spacing",
         choices=("auto", "geometric", "linear", "approach"),

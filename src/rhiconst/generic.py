@@ -135,7 +135,11 @@ class ExtensionRatio:
 # bounds(points) maps an (n, d) array of coordinates to the endpoint
 # arrays (lo, hi) of n intervals, and the seed grid and each refinement
 # stencil cost one batched quadrature pass (means._scored_ratios) per
-# _SCORE_SLICE points instead of one Python call per interval.  A row that
+# _SCORE_SLICE points instead of one Python call per interval.  Slices take
+# the rows in order of their right ends, not in grid order: a pass
+# integrates each distinct piece once, and the straddles (-eps*b, b) of one
+# b share their piece (0, b), so a slice that holds whole b-columns of the
+# seed grid integrates each (0, b) once instead of once per eps.  A row that
 # is no interval (an endpoint not finite, or lo >= hi) or cannot be
 # evaluated (overflow, exhausted quadrature) scores -inf, never NaN, and
 # counts as a plain non-maximum.  Coordinates are whatever the caller
@@ -219,11 +223,12 @@ def _search(f: FunctionSpec, pair: ExponentPair, bounds, seeds, rtol: float = _C
 
     def score(points: np.ndarray) -> np.ndarray:
         scores = np.full(len(points), -math.inf)
-        for i in range(0, len(points), _SCORE_SLICE):
-            lo, hi = bounds(points[i : i + _SCORE_SLICE])
-            ok = np.isfinite(lo) & np.isfinite(hi) & (lo < hi)
-            found = _scored_ratios(f, lo[ok], hi[ok], pair, QUAD_TOL, _QUAD_MAX_LEVELS)
-            scores[i : i + _SCORE_SLICE][ok] = found
+        lo, hi = bounds(points)
+        rows = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
+        rows = rows[np.argsort(hi[rows], kind="stable")]
+        for i in range(0, len(rows), _SCORE_SLICE):
+            r = rows[i : i + _SCORE_SLICE]
+            scores[r] = _scored_ratios(f, lo[r], hi[r], pair, QUAD_TOL, _QUAD_MAX_LEVELS)
         return scores
 
     point, value, evals, converged = _grid_refine(score, seeds, rtol)

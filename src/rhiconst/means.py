@@ -32,18 +32,23 @@ itself is harmless.
 A pass computes the means of one order over a batch of intervals: all
 intervals advance a level together, and the pieces of the intervals still
 refining are integrated in rectangular blocks of one rule and cell count
-(origin-anchored pieces share their u-mesh and differ only in scale).  A
-block is cut into chunks of at most _NODE_BUDGET nodes per integrand
-call, which bounds memory whatever the batch size.  Each piece is summed
-on its own, an interval's pieces are added in order, and each interval
-keeps the scalar convergence test, so a mean does not depend on the batch
-it is in; quad_mean and mean_ratio are batches of one, mean_ratios scores
-many intervals at once.  A ratio runs the beta pass first and the alpha
-pass only on the intervals whose beta mean exists.  mean_ratio asks each
-mean for tol/3 and, for a mean below 1, for tol/3 times that mean: such a
-mean continues from the level it reached under the tighter test instead
-of starting over, which ends at the same level with the same value,
-because a tighter test cannot pass earlier.
+(origin-anchored pieces share their u-mesh and differ only in scale).
+Equal pieces in a pass are integrated once per level, while any interval
+owning them still refines, and the integral is handed to each owner; the
+straddles (-eps*b, b) of one b all share (0, b).  A block is cut into
+chunks of at most _NODE_BUDGET nodes per integrand call, which bounds
+memory whatever the batch size.  Each piece is summed on its own (an
+origin-anchored piece's integral depends only on its right end, the
+level, the order and the exponent s), an interval's pieces are added in
+order, and each interval keeps the scalar convergence test, so a mean
+does not depend on the batch it is in; quad_mean and mean_ratio are
+batches of one, mean_ratios scores many intervals at once.  A ratio runs
+the beta pass first and the alpha pass only on the intervals whose beta
+mean exists.  mean_ratio asks each mean for tol/3 and, for a mean below
+1, for tol/3 times that mean: such a mean continues from the level it
+reached under the tighter test instead of starting over, which ends at
+the same level with the same value, because a tighter test cannot pass
+earlier.
 
 Sampled tables are not integrated numerically.  The interpolant is linear
 between knots, so a window splits at every knot inside it and each
@@ -707,10 +712,21 @@ def _means(f: FunctionSpec, lo, hi, order: float, tol: float, tighten: bool, max
         errors.update((int(owner[keep][i]), exc) for i, exc in failed.items())
         return values, np.zeros(n), errors
 
+    # Equal pieces are integrated once: piece q's integral is that of
+    # distinct piece uid[q].  lexsort sorts -0.0 with 0.0, and both start
+    # an origin-anchored piece, whose integral depends on its right end only.
+    by_ends = np.lexsort((phi, plo))
+    ulo, uhi = plo[by_ends], phi[by_ends]
+    new = np.ones(len(ulo), dtype=bool)
+    new[1:] = (ulo[1:] != ulo[:-1]) | (uhi[1:] != uhi[:-1])
+    uid = np.empty(len(ulo), dtype=np.intp)
+    uid[by_ends] = np.cumsum(new) - 1
+    ulo, uhi = ulo[new], uhi[new]
+
     # Pieces with the same rule and cell count form one rectangular block.
-    zero = plo == 0.0
+    zero = ulo == 0.0
     with np.errstate(divide="ignore"):
-        geometric = ~zero & (phi / plo > 10.0)
+        geometric = ~zero & (uhi / ulo > 10.0)
     masks = {"zero": zero, "geo": geometric, "lin": ~zero & ~geometric}
     blocks = {kind: np.flatnonzero(m) for kind, m in masks.items() if m.any()}
 
@@ -732,13 +748,17 @@ def _means(f: FunctionSpec, lo, hi, order: float, tol: float, tighten: bool, max
     for level in range(max_levels):
         if not active.any():
             break
-        integrals = np.zeros(len(plo))
+        # A distinct piece is needed while any interval owning it refines.
+        needed = np.zeros(len(ulo), dtype=bool)
+        needed[uid[active[owner]]] = True
+        distinct = np.zeros(len(ulo))
         for kind, qs in blocks.items():
-            qs = qs[active[owner[qs]]]
+            qs = qs[needed[qs]]
             step = max(1, _NODE_BUDGET // (16 * _cells(kind, level)))
             for start in range(0, len(qs), step):
                 q = qs[start : start + step]
-                integrals[q] = _piece_integrals(fo, kind, plo[q], phi[q], s, level)
+                distinct[q] = _piece_integrals(fo, kind, ulo[q], uhi[q], s, level)
+        integrals = distinct[uid]
 
         # bincount adds each interval's pieces to 0 one at a time, in the
         # order they are listed.

@@ -196,6 +196,20 @@ def test_sweep_bad_sequence_spec(capsys):
     assert code == 2 and "start:stop:count" in err
 
 
+@pytest.mark.parametrize(
+    "selector",
+    [
+        ["--beta", "2", "--gamma", "1:2:10001"],
+        ["--beta-seq", "2:1024:1000000000"],
+    ],
+    ids=["gamma", "beta-seq"],
+)
+def test_sweep_count_above_the_cap_is_refused(capsys, selector):
+    code, out, err = run_cli(capsys, "sweep", "--alpha", "1", *selector)
+    assert code == 2 and out == ""
+    assert "exceeds the cap of 10000" in err
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------

@@ -208,8 +208,12 @@ def test_table_without_declared_monotonicity_gets_full_search():
             ),
             (22.360679774998193, 68.97785379387658, 1068.9778537938764, 4177, True),
         ),
+        (
+            lambda: estimate_extension(AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0)),
+            (1.4026358134371757, -79.36507936507934, 999.9999999999998, 5201, True),
+        ),
     ],
-    ids=["pow-extension-1d", "affpow-halfline-1d", "expdecay-halfline-2d"],
+    ids=["pow-extension-1d", "affpow-halfline-1d", "expdecay-halfline-2d", "affpow-extension-2d"],
 )
 def test_default_searches_are_pinned(search, expected):
     # Exact results on the default grids: any change in seed grids,

@@ -198,6 +198,77 @@ def test_beta_mean_is_evaluated_first():
     assert all(np.array_equal(a, b) for a, b in zip(batch_nodes, alone_nodes))
 
 
+class RecordingRoot(RecordingDecay):
+    """x**-0.2, recording every integrand call by order.
+
+    The singularity at 0 is not declared, so the quadrature refines it
+    level by level and intervals of one family converge at different
+    levels.
+    """
+
+    monotonicity = Monotonicity.UNKNOWN
+
+    def evaluate(self, x):
+        return x**-0.2
+
+
+def _levels(interval: Interval, pair: ExponentPair) -> dict[float, int]:
+    # Levels each order's pass reaches for the interval alone: at most two
+    # pieces, so one integrand call per level.
+    f = RecordingRoot()
+    mean_ratio(EvenExtensionView(f), interval, pair)
+    return {order: len(calls) for order, calls in f.nodes.items()}
+
+
+def _distinct_piece_nodes(intervals, pair: ExponentPair) -> int:
+    # Every piece of a straddle family is origin-anchored, so it is known by
+    # its right end; it is integrated at every level reached by any interval
+    # owning it.
+    reach: dict[tuple[float, float], int] = {}
+    for iv in intervals:
+        ends = {iv.hi, -iv.lo} if iv.lo < 0.0 else {iv.hi}
+        for order, levels in _levels(iv, pair).items():
+            for end in ends:
+                reach[order, end] = max(reach.get((order, end), 0), levels)
+    return sum(
+        16 * means._cells("zero", level) for levels in reach.values() for level in range(levels)
+    )
+
+
+def _batch_nodes(intervals, pair: ExponentPair) -> tuple[list[float], int]:
+    f = RecordingRoot()
+    got = mean_ratios(EvenExtensionView(f), intervals, pair).tolist()
+    return got, sum(x.size for calls in f.nodes.values() for x in calls)
+
+
+def test_straddle_batch_integrates_each_distinct_piece_once():
+    # eps = 0 gives lo = -0.0 and the single piece (0, b), shared with the
+    # straddles of the same b; eps = 1 gives two equal pieces (0, b).
+    pair = ExponentPair(1.0, 2.0)
+    intervals = [
+        Interval(-eps * b, b)
+        for eps in (0.0, 0.25, 0.5, 1.0)
+        for b in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+    ]
+    assert math.copysign(1.0, intervals[0].lo) == -1.0
+    got, nodes = _batch_nodes(intervals, pair)
+    ext = EvenExtensionView(RecordingRoot())
+    assert got == [mean_ratio(ext, iv, pair) for iv in intervals]
+    assert nodes == _distinct_piece_nodes(intervals, pair)
+
+
+def test_shared_piece_is_integrated_until_its_last_owner_converges():
+    # Both straddles own (0, 3); the second needs one beta level more.
+    pair = ExponentPair(1.0, 2.0)
+    intervals = [Interval(-1.5, 3.0), Interval(-0.75, 3.0)]
+    first, second = (_levels(iv, pair) for iv in intervals)
+    assert first[pair.beta] < second[pair.beta]
+    got, nodes = _batch_nodes(intervals, pair)
+    ext = EvenExtensionView(RecordingRoot())
+    assert got == [mean_ratio(ext, iv, pair) for iv in intervals]
+    assert nodes == _distinct_piece_nodes(intervals, pair)
+
+
 def _exact_table_mean(xs, fs, lo, hi, order):
     # f is linear between the points below, so each stretch integrates
     # f**order exactly: h * (a + b) / 2 for order 1 and
