@@ -25,6 +25,12 @@ augmented with logarithmically spaced points near 0 because the maximizer
 collapses toward 0 as gamma approaches the lower admissible endpoint.
 All curve evaluations run in log space, so exponents close to the
 admissible boundary stay finite and the endpoint values are exact.
+
+Maximization is batched over exponents.  A gamma sweep scans the seed grid
+once per exponent, then runs the golden sections of all its exponents in
+lockstep, one elementwise curve call per step over the rows still
+refining; the polish stays per row.  maximize_curve and power_report are
+batches of one, with the same bits as any row of a sweep.
 """
 
 from __future__ import annotations
@@ -84,7 +90,13 @@ def curve_values(pair: ExponentPair, gamma: float, eps) -> np.ndarray:
         raise DomainError("need at least one eps value")
     if not np.all(np.isfinite(eps)) or np.any(eps < 0.0) or np.any(eps > 1.0):
         raise DomainError("eps values must lie in [0, 1]")
-    return _curve_array(pair, gamma, eps)
+    out = np.ones_like(eps)
+    mask = (eps > 0.0) & (eps < 1.0)
+    if np.any(mask):
+        e = eps[mask]
+        orders = _orders(pair)
+        out[mask] = _interior_curve(orders, gamma * orders + 1.0, np.log(e), np.log1p(e))
+    return out
 
 
 def extension_curve(pair: ExponentPair, gamma: float, eps: float) -> float:
@@ -92,26 +104,20 @@ def extension_curve(pair: ExponentPair, gamma: float, eps: float) -> float:
     return float(curve_values(pair, gamma, eps)[0])
 
 
-def _curve_array(pair: ExponentPair, gamma: float, eps: np.ndarray) -> np.ndarray:
-    a, b = pair.alpha, pair.beta
-    out = np.ones_like(eps)
-    mask = (eps > 0.0) & (eps < 1.0)
-    if not np.any(mask):
-        return out
-    e = eps[mask]
-    ln = np.log(e)
-    # Both exponents are positive on the admissible range, so these powers
-    # live in (0, 1) and never overflow.
-    pa = np.exp((gamma * a + 1.0) * ln)
-    pb = np.exp((gamma * b + 1.0) * ln)
-    lne1 = np.log1p(e)
-    lnc = (np.log1p(pb) - lne1) / b - (np.log1p(pa) - lne1) / a
-    out[mask] = np.exp(lnc)
-    return out
+def _orders(pair: ExponentPair) -> np.ndarray:
+    return np.array([[pair.alpha], [pair.beta]])
 
 
-def _curve_scalar(pair: ExponentPair, gamma: float, eps: float) -> float:
-    return float(_curve_array(pair, gamma, np.array([eps]))[0])
+def _interior_curve(orders: np.ndarray, k: np.ndarray, ln, lne1) -> np.ndarray:
+    """Shape curve at interior eps, given log(eps) and log1p(eps).
+
+    orders is _orders(pair) and k is gamma*orders + 1, of shape (2, 1) or,
+    with one gamma per eps, (2, len(ln)); row 0 belongs to alpha, row 1 to
+    beta.  Both rows of k are positive on the admissible range, so the
+    powers eps**k live in (0, 1) and never overflow.
+    """
+    logs = (np.log1p(np.exp(k * ln)) - lne1) / orders
+    return np.exp(logs[1] - logs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -169,23 +175,53 @@ def _residual_derivative(pair: ExponentPair, gamma: float, eps: float) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def _golden_sections(
+    orders: np.ndarray, k: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maxima of the curve on the brackets (a, b), in lockstep.
+
+    Row j uses the column k[:, j] (see _interior_curve), stops once its
+    bracket is no wider than max(1e-15, (b - a)*1e-11) or after 200 steps,
+    and then freezes.  Each step is one elementwise curve call over the
+    rows still refining.  Returns the better end point of every final
+    bracket and its curve value.
+    """
+
+    def curve(x: np.ndarray) -> np.ndarray:
+        return _interior_curve(orders, k, np.log(x), np.log1p(x))
+
+    width = b - a
+    tol = np.maximum(1e-15, width * 1e-11)
+    c = b - _INVPHI * width
+    d = a + _INVPHI * width
+    fc, fd = curve(c), curve(d)
+    x_best, v_best = np.empty_like(a), np.empty_like(a)
+    rows = np.arange(a.size)
+    for steps in range(201):
+        done = width <= tol if steps < 200 else np.full(rows.size, True)
+        if done.any():
+            upper = fc >= fd
+            x_best[rows[done]] = np.where(upper, c, d)[done]
+            v_best[rows[done]] = np.where(upper, fc, fd)[done]
+            keep = ~done
+            a, b, c, d, fc, fd, width, tol, rows = (
+                v[keep] for v in (a, b, c, d, fc, fd, width, tol, rows)
+            )
+            k = k[:, keep]
+            if not rows.size:
+                break
+        # Rows with fc >= fd keep (a, d) and probe below their old c;
+        # the others keep (c, b) and probe above their old d.
+        upper = fc >= fd
+        a = np.where(upper, a, c)
+        b = np.where(upper, d, b)
+        width = b - a
+        step = _INVPHI * width
+        x = np.where(upper, b - step, a + step)
+        fx = curve(x)
+        c, d = np.where(upper, x, d), np.where(upper, c, x)
+        fc, fd = np.where(upper, fx, fd), np.where(upper, fc, fx)
+    return x_best, v_best
 
 
 def _newton_polish(pair: ExponentPair, gamma: float, x0: float, lo: float, hi: float) -> float:
@@ -233,45 +269,76 @@ def _seed_grid(n: int) -> np.ndarray:
     return grid[np.append(True, grid[1:] != grid[:-1])]
 
 
+def _maximize_curves(pair: ExponentPair, gammas: list[float], cfg: SearchConfig):
+    """Yield (eps_star, curve_max) for each admissible gamma, in order.
+
+    The seed grid is built once per batch and scanned one gamma at a time,
+    keeping only the argmax, so memory grows with the grid plus the batch
+    and never with their product.  The golden sections of all non-flat
+    rows then run in lockstep (_golden_sections).  numpy gives an element
+    the same bits whatever the array length, so each row equals a batch of
+    one.  The Newton polish and its acceptance test run per row as the row
+    is yielded, so an error surfaces at its own row.
+    """
+    if not gammas:
+        return
+    grid = _seed_grid(cfg.eps_grid)
+    # The grid runs from exactly 0 to exactly 1, where the curve is 1, so
+    # only its interior is scanned; an interior argmax above 1 is the
+    # argmax of the whole grid.
+    inner = grid[1:-1]
+    ln, lne1 = np.log(inner), np.log1p(inner)
+    orders = _orders(pair)
+    k = np.asarray(gammas) * orders + 1.0
+    at = np.empty(len(gammas), dtype=np.intp)
+    peak = np.empty(len(gammas))
+    for j in range(len(gammas)):
+        vals = _interior_curve(orders, k[:, j : j + 1], ln, lne1)
+        i = int(vals.argmax())
+        at[j], peak[j] = i + 1, vals[i]
+    live = np.flatnonzero(peak > 1.0 + _FLAT_TOL)
+    lo, hi = grid[at - 1], grid[at + 1]
+    x_gold, v_gold = np.zeros_like(peak), np.zeros_like(peak)
+    if live.size:
+        x_gold[live], v_gold[live] = _golden_sections(
+            orders, k[:, live], lo[live], hi[live]
+        )
+    rows = zip(
+        gammas, grid[at].tolist(), peak.tolist(), lo.tolist(), hi.tolist(),
+        x_gold.tolist(), v_gold.tolist(),
+    )
+    for j, (gamma, eps_star, curve_max, lo_j, hi_j, x_j, v_j) in enumerate(rows):
+        if curve_max <= 1.0 + _FLAT_TOL:
+            yield 0.0, 1.0
+            continue
+        if v_j > curve_max:
+            eps_star, curve_max = x_j, v_j
+        # Value comparisons at the flat top resolve the maximizer only to
+        # about sqrt(ulp); the stationarity root is sharper, so it wins
+        # whenever its value matches the incumbent up to rounding.
+        x_newt = _newton_polish(pair, gamma, eps_star, lo_j, hi_j)
+        if x_newt != eps_star:
+            # x_newt lies strictly inside (lo_j, hi_j), within [0, 1].
+            x = np.array([x_newt])
+            v_newt = float(_interior_curve(orders, k[:, j : j + 1], np.log(x), np.log1p(x))[0])
+            if v_newt >= curve_max * (1.0 - 1e-12):
+                eps_star, curve_max = x_newt, max(v_newt, curve_max)
+        yield (0.0, 1.0) if curve_max <= 1.0 + _FLAT_TOL else (eps_star, curve_max)
+
+
 def maximize_curve(
     pair: ExponentPair, gamma: float, cfg: SearchConfig | None = None
 ) -> tuple[float, float]:
-    """Maximize the shape curve over [0, 1].
+    """Maximize the shape curve over [0, 1], as a batch of one.
 
     Returns (eps_star, curve_max).  A flat curve (gamma = 0, or so close
     that the maximum is within 1e-13 of 1) reports eps_star = 0 and
     curve_max = 1, in which case no stationarity root is associated with
     the result.
     """
-    cfg = cfg or SearchConfig()
     gamma = pair.require_gamma(gamma)
-    grid = _seed_grid(cfg.eps_grid)
-    vals = _curve_array(pair, gamma, grid)
-    i = int(np.argmax(vals))
-    if vals[i] <= 1.0 + _FLAT_TOL:
-        return 0.0, 1.0
-    # The endpoints evaluate to exactly 1, strictly below the maximum, so
-    # the argmax always has two neighbors.
-    lo, hi = float(grid[i - 1]), float(grid[i + 1])
-
-    def fn(x: float) -> float:
-        return _curve_scalar(pair, gamma, x)
-
-    x_gold, v_gold = _golden_max(fn, lo, hi, max(1e-15, (hi - lo) * 1e-11))
-    eps_star, curve_max = float(grid[i]), float(vals[i])
-    if v_gold > curve_max:
-        eps_star, curve_max = x_gold, v_gold
-    # Value comparisons at the flat top resolve the maximizer only to about
-    # sqrt(ulp); the stationarity root is sharper, so it wins whenever its
-    # value matches the incumbent up to rounding.
-    x_newt = _newton_polish(pair, gamma, eps_star, lo, hi)
-    if x_newt != eps_star:
-        v_newt = fn(x_newt)
-        if v_newt >= curve_max * (1.0 - 1e-12):
-            eps_star, curve_max = x_newt, max(v_newt, curve_max)
-    if curve_max <= 1.0 + _FLAT_TOL:
-        return 0.0, 1.0
-    return eps_star, curve_max
+    (result,) = _maximize_curves(pair, [gamma], cfg or SearchConfig())
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +386,44 @@ def power_report(
     pair: ExponentPair, gamma: float, cfg: SearchConfig | None = None
 ) -> PowerRhiReport:
     """Assemble constants, maximizer and residual for one pure power."""
-    h = halfline_constant(pair, gamma)
-    eps_star, curve_max = maximize_curve(pair, gamma, cfg)
-    applicable = 0.0 < eps_star < 1.0
-    residual = stationarity_residual(pair, gamma, eps_star) if applicable else 0.0
-    return PowerRhiReport(
-        pair=pair,
-        gamma=gamma,
-        halfline_constant=h,
-        eps_star=eps_star,
-        curve_max=curve_max,
-        extension_constant=curve_max * h,
-        residual=residual,
-        residual_applicable=applicable,
-    )
+    return _power_reports(pair, [gamma], cfg)[0]
+
+
+def _power_reports(
+    pair: ExponentPair, gammas: list[float], cfg: SearchConfig | None = None
+) -> list[PowerRhiReport]:
+    """Power reports for a batch of exponents, maximized in one lockstep batch.
+
+    Equal to [power_report(pair, g, cfg) for g in gammas], errors included:
+    the half-line constants are taken in order up to the first exponent
+    that raises, the rows before it are reported (any of them may raise
+    first), and only then is that exponent's error raised.
+    """
+    hs, failure = [], None
+    for g in gammas:
+        try:
+            hs.append(halfline_constant(pair, g))
+        except Exception as exc:
+            failure = exc
+            break
+    valid = gammas[: len(hs)]
+    curves = _maximize_curves(pair, [float(g) for g in valid], cfg or SearchConfig())
+    reports = []
+    for gamma, h, (eps_star, curve_max) in zip(valid, hs, curves):
+        applicable = 0.0 < eps_star < 1.0
+        residual = stationarity_residual(pair, gamma, eps_star) if applicable else 0.0
+        reports.append(
+            PowerRhiReport(
+                pair=pair,
+                gamma=gamma,
+                halfline_constant=h,
+                eps_star=eps_star,
+                curve_max=curve_max,
+                extension_constant=curve_max * h,
+                residual=residual,
+                residual_applicable=applicable,
+            )
+        )
+    if failure is not None:
+        raise failure
+    return reports

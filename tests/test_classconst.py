@@ -1,7 +1,9 @@
 """Class constants, the general bound, seams, sweeps and sharpness tables."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,7 @@ from rhiconst.classconst import (
     sharpness_table_alpha,
 )
 from rhiconst.core import DomainError, ExponentPair, NumericError
+from rhiconst.power import power_report
 
 SQRT2 = 1.4142135623730951
 TWO_T0_23 = 1.5874010519681994  # 2^(2/3)
@@ -145,6 +148,80 @@ def test_gamma_sweep_growth_is_monotone():
     growth = [r.curve_max for r in reports]
     assert all(b > a for a, b in zip(growth, growth[1:]))
     assert growth[-1] >= 0.98 * SQRT2
+
+
+# The maximizer of this pair at 0.8660434232677972 lies below the seed
+# grid's 1e-300 floor, and 0.9 is past its admissible range (-inf, 0.867).
+TIGHT_PAIR = ExponentPair(-1.1533436194361446, -1.1526183695149625)
+
+
+@pytest.mark.parametrize(
+    "pair, gammas, error",
+    [
+        (TIGHT_PAIR, [0.8660434232677972, 0.9], NumericError),
+        (TIGHT_PAIR, [0.9, 0.8660434232677972], DomainError),
+        # halfline_constant overflows at 1e6 for alpha = 1e-3; -2 is inadmissible.
+        (ExponentPair(1e-3, 1.0), [1.0, -2.0, 1e6], DomainError),
+        (ExponentPair(1e-3, 1.0), [1.0, 1e6, -2.0], NumericError),
+    ],
+)
+def test_gamma_sweep_raises_the_first_error_in_order(pair, gammas, error):
+    with pytest.raises(error):
+        gamma_sweep(pair, gammas)
+    # The same exception the per-exponent loop meets first.
+    with pytest.raises(error):
+        [power_report(pair, g) for g in gammas]
+
+
+@pytest.mark.parametrize(
+    "pair, toward",
+    [
+        (ExponentPair(1.0, 2.0), -0.5),
+        (ExponentPair(-1.0, 1.0), 1.0),
+        (ExponentPair(-2.0, -1.0), 0.5),
+    ],
+)
+def test_gamma_sweep_rows_equal_reports_of_one(pair, toward):
+    approach = gamma_approach_sequence(pair, toward, 12)
+    assert len(approach) == 12
+    for gammas in (
+        [0.0, 0.25, 0.25, 0.0, -0.25] + approach,
+        [0.25],
+        [0.0],
+        approach[::-1],
+    ):
+        assert gamma_sweep(pair, gammas) == [power_report(pair, g) for g in gammas]
+
+
+@pytest.mark.parametrize(
+    "pair, gamma, eps_star, curve_max",
+    [
+        (ExponentPair(1.0, 2.0), 1.0, 0.2679491924311225, 1.0606601717798212),
+        (ExponentPair(1.0, 2.0), 1000.0, 0.9917438578633975, 1.4109405032576503),
+        (ExponentPair(1.0, 2.0), -0.4999, 9.999966267912868e-09, 1.4127718116674874),
+        (ExponentPair(-1.0, 1.0), -0.9, 0.021328828398527858, 1.6122236579024496),
+        (ExponentPair(-2.0, -1.0), 0.4999, 9.999966267912871e-09, 1.4127718116674874),
+    ],
+)
+def test_sweep_maximizers_are_pinned(pair, gamma, eps_star, curve_max):
+    (row,) = gamma_sweep(pair, [gamma])
+    assert (row.eps_star, row.curve_max) == (eps_star, curve_max)
+    rows = gamma_sweep(pair, [0.0, gamma, 0.5 * gamma])
+    assert (rows[1].eps_star, rows[1].curve_max) == (eps_star, curve_max)
+
+
+def test_gamma_sweep_memory_stays_linear():
+    # A (gamma x grid) matrix over the default 4096-point eps grid would
+    # take 67 MB at 2 000 exponents.
+    gammas = np.linspace(0.01, 100.0, 2000)
+    tracemalloc.start()
+    try:
+        rows = gamma_sweep(ExponentPair(1.0, 2.0), gammas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2000
+    assert peak < 8e6
 
 
 def test_sharpness_table_climbs_to_one():
