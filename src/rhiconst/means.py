@@ -25,9 +25,14 @@ an integrable endpoint blowup into a function vanishing at least
 quadratically; the u-mesh is graded geometrically toward 0.  Other
 pieces get a linear or geometric mesh depending on the endpoint ratio.
 The mesh is refined by whole levels and the error estimate is the
-difference between the last two levels.  Inputs never get evaluated at
-panel edges, only at interior Gauss nodes, so an endpoint blowup of f
-itself is harmless.
+difference between the last two levels.  Linear and geometric meshes
+double at each level and are integrated afresh.  A new origin-anchored
+level splits only the first u-cell, the one next to 0, into five: its
+piece keeps the sums of the other cells from the level before and
+integrates the five new ones.  Its error estimate therefore measures the
+cells next to 0 only; a feature farther right is never refined.  Inputs
+never get evaluated at panel edges, only at interior Gauss nodes, so an
+endpoint blowup of f itself is harmless.
 
 A pass computes the means of one order over a batch of intervals: all
 intervals advance a level together, and the pieces of the intervals still
@@ -36,13 +41,14 @@ refining are integrated in rectangular blocks of one rule and cell count
 Equal pieces in a pass are integrated once per level, while any interval
 owning them still refines, and the integral is handed to each owner; the
 straddles (-eps*b, b) of one b all share (0, b).  A block is cut into
-chunks of at most _NODE_BUDGET nodes per integrand call, which bounds
+chunks of at most _NODE_BUDGET new nodes per integrand call, which bounds
 memory whatever the batch size.  Each piece is summed on its own (an
-origin-anchored piece's integral depends only on its right end, the
-level, the order and the exponent s), an interval's pieces are added in
-order, and each interval keeps the scalar convergence test, so a mean
-does not depend on the batch it is in; quad_mean and mean_ratio are
-batches of one, mean_ratios scores many intervals at once.  A ratio runs
+origin-anchored piece sums each cell's nodes, then its cell sums in cell
+order, so its integral depends only on its right end, the level, the
+order and the exponent s), an interval's pieces are added in order, and
+each interval keeps the scalar convergence test, so a mean does not
+depend on the batch it is in; quad_mean and mean_ratio are batches of
+one, mean_ratios scores many intervals at once.  A ratio runs
 the beta pass first and the alpha pass only on the intervals whose beta
 mean exists.  mean_ratio asks each mean for tol/3 and, for a mean below
 1, for tol/3 times that mean: such a mean continues from the level it
@@ -423,11 +429,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _NODE_BUDGET = 1 << 14
 
 
-def _gl_rows(fo, edges: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre on the cells of each row of ``edges``, one sum per row.
-
-    Nodes stay strictly interior.  Each row is summed over its own
-    contiguous block, so its total does not depend on the other rows.
+def _gl_weighted(fo, edges: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre on the cells of each row of ``edges``: the weighted
+    node values, shape (rows, cells, 16).  Nodes stay strictly interior.
     """
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
@@ -438,9 +442,9 @@ def _gl_rows(fo, edges: np.ndarray) -> np.ndarray:
     # in place so that few node-sized arrays are alive at once.
     with np.errstate(over="ignore", divide="ignore"):
         vals = fo((mid[:, :, None] + half[:, :, None] * _GL_NODES).ravel())
-        weighted = (half[:, :, None] * _GL_WEIGHTS).reshape(len(edges), -1)
+        weighted = half[:, :, None] * _GL_WEIGHTS
         weighted *= vals.reshape(weighted.shape)
-        return np.sum(weighted, axis=1)
+        return weighted
 
 
 def _substitution_exponent(s: float | None) -> float:
@@ -453,34 +457,65 @@ def _substitution_exponent(s: float | None) -> float:
     return min(max(3.0 / (s + 1.0), 2.0), 40.0)
 
 
-def _zero_anchored_rows(fo, his: np.ndarray, s: float | None, level: int) -> np.ndarray:
+def _zero_edges(level: int) -> np.ndarray:
+    """The u-mesh of an origin-anchored piece: 0, 2**-(10+4*level), ..., 2**-1, 1."""
+    return np.concatenate(([0.0], 2.0 ** -np.arange(10 + 4 * level, -1.0, -1.0)))
+
+
+def _zero_anchored_cells(fo, his: np.ndarray, s: float | None, edges: np.ndarray) -> np.ndarray:
+    """Integrals of f**order over the pieces (0, his[i]) restricted to the
+    u-cells of ``edges``, shape (rows, cells).
+
+    Each cell's 16 weighted nodes are summed on their own, so a cell's
+    integral depends only on its edges, the right end and s.
+    """
     p = _substitution_exponent(s)
-    m = 10 + 4 * level
-    edges = np.concatenate(([0.0], 2.0 ** -np.arange(m, -1.0, -1.0)))
-    if p == 1.0:
-        return _gl_rows(fo, his[:, None] * edges)
-    # x = hi * u**p: the u-mesh is shared, only the scale differs per row.
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
     with np.errstate(over="ignore", divide="ignore"):
-        weighted = (p * his)[:, None] * u ** (p - 1.0)
-        weighted *= fo((his[:, None] * u**p).ravel()).reshape(weighted.shape)
-        weighted *= (half[:, None] * _GL_WEIGHTS).ravel()
-        return np.sum(weighted, axis=1)
+        if p == 1.0:
+            weighted = _gl_weighted(fo, his[:, None] * edges)
+        else:
+            # x = hi * u**p: the u-mesh is shared, only the scale differs per row.
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            half = 0.5 * (edges[1:] - edges[:-1])
+            u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+            weighted = (p * his)[:, None] * u ** (p - 1.0)
+            weighted *= fo((his[:, None] * u**p).ravel()).reshape(weighted.shape)
+            weighted *= (half[:, None] * _GL_WEIGHTS).ravel()
+        return np.sum(weighted.reshape(len(his), len(edges) - 1, 16), axis=2)
+
+
+def _zero_anchored_rows(
+    fo, his: np.ndarray, s: float | None, level: int, previous: np.ndarray
+) -> np.ndarray:
+    """Cell sums of the pieces (0, his[i]) at a level, from those of the level before.
+
+    A level splits the first cell of the one before into five and keeps
+    the others, so only the new cells next to 0 are integrated: the row
+    is [new cell sums | previous row without its first cell].  At level 0
+    all 11 cells are new and ``previous`` has no cells.
+    """
+    new = _zero_edges(level)[: _cells("zero", level) + 1]
+    return np.concatenate((_zero_anchored_cells(fo, his, s, new), previous[:, 1:]), axis=1)
 
 
 def _cells(kind: str, level: int) -> int:
+    # Cells a piece integrates at a level: its whole mesh, except that an
+    # origin-anchored piece only integrates the cells new next to 0.
     if kind == "zero":
-        return 11 + 4 * level
+        return 5 if level else 11
     return 16 << level
 
 
-def _piece_integrals(fo, kind: str, lo, hi, s: float | None, level: int) -> np.ndarray:
-    if kind == "zero":
-        return _zero_anchored_rows(fo, hi, s, level)
+def _piece_integrals(fo, kind: str, lo, hi, level: int) -> np.ndarray:
+    """Integrals over linear or geometric pieces (lo[i], hi[i]), one per row.
+
+    Each row is summed over its own contiguous block, so its total does
+    not depend on the other rows.
+    """
     space = np.geomspace if kind == "geo" else np.linspace
-    return _gl_rows(fo, space(lo, hi, _cells(kind, level) + 1, axis=1))
+    weighted = _gl_weighted(fo, space(lo, hi, _cells(kind, level) + 1, axis=1))
+    with np.errstate(over="ignore"):
+        return np.sum(weighted.reshape(len(lo), -1), axis=1)
 
 
 def _pieces(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray):
@@ -724,11 +759,15 @@ def _means(f: FunctionSpec, lo, hi, order: float, tol: float, tighten: bool, max
     ulo, uhi = ulo[new], uhi[new]
 
     # Pieces with the same rule and cell count form one rectangular block.
+    # Origin-anchored pieces keep the cell sums of their last level: zq
+    # lists those still needed, in the order of zcells' rows.
     zero = ulo == 0.0
     with np.errstate(divide="ignore"):
         geometric = ~zero & (uhi / ulo > 10.0)
-    masks = {"zero": zero, "geo": geometric, "lin": ~zero & ~geometric}
+    masks = {"geo": geometric, "lin": ~zero & ~geometric}
     blocks = {kind: np.flatnonzero(m) for kind, m in masks.items() if m.any()}
+    zq = np.flatnonzero(zero)
+    zcells = np.zeros((len(zq), 0))
 
     lengths = hi - lo
     tols = np.full(n, tol)
@@ -752,12 +791,23 @@ def _means(f: FunctionSpec, lo, hi, order: float, tol: float, tighten: bool, max
         needed = np.zeros(len(ulo), dtype=bool)
         needed[uid[active[owner]]] = True
         distinct = np.zeros(len(ulo))
+        keep = needed[zq]
+        zq, zcells = zq[keep], zcells[keep]
+        if len(zq):
+            step = max(1, _NODE_BUDGET // (16 * _cells("zero", level)))
+            chunks = [
+                _zero_anchored_rows(fo, uhi[zq[i : i + step]], s, level, zcells[i : i + step])
+                for i in range(0, len(zq), step)
+            ]
+            zcells = np.concatenate(chunks)
+            with np.errstate(over="ignore"):
+                distinct[zq] = np.sum(zcells, axis=1)
         for kind, qs in blocks.items():
             qs = qs[needed[qs]]
             step = max(1, _NODE_BUDGET // (16 * _cells(kind, level)))
             for start in range(0, len(qs), step):
                 q = qs[start : start + step]
-                distinct[q] = _piece_integrals(fo, kind, ulo[q], uhi[q], s, level)
+                distinct[q] = _piece_integrals(fo, kind, ulo[q], uhi[q], level)
         integrals = distinct[uid]
 
         # bincount adds each interval's pieces to 0 one at a time, in the
@@ -829,8 +879,11 @@ def quad_mean(
 
     The result satisfies |value - true| <= tol * (1 + |true|) up to the
     reliability of the two-level error estimate; the achieved estimate is
-    returned.  QuadratureError is raised when the level budget runs out
-    before the tolerance is met.
+    returned.  On an origin-anchored piece a new level splits only the
+    cell next to 0 into five and reuses the other cell sums, so the
+    estimate measures the cells next to 0 only and is blind to a feature
+    of f farther right.  QuadratureError is raised when the level budget
+    runs out before the tolerance is met.
     """
     if order == 0.0 or not math.isfinite(order):
         raise DomainError("mean order must be nonzero and finite")

@@ -158,6 +158,17 @@ def _suite_means(seed: int) -> list[CheckResult]:
             f"reported error {mv.abs_error_estimate:.3g}",
         )
     )
+    # The estimate above only measures the cells next to 0 that a level
+    # refines, so the same mean is also held to its closed form.
+    want = math.sqrt(-math.expm1(-6.0) / 6.0)
+    out.append(
+        CheckResult(
+            "means.origin_mean_matches_closed_form",
+            abs(mv.value - want) <= 1e-10 * (1.0 + want),
+            f"order 2 mean of exp(-x) on (0,3) {mv.value:.12g},"
+            f" relative error {abs(mv.value - want) / want:.2g}",
+        )
+    )
 
     try:
         means.quad_mean(means.PowerLaw(-1.5), Interval(0.0, 1.0), 1.0)

@@ -223,16 +223,15 @@ def _levels(interval: Interval, pair: ExponentPair) -> dict[float, int]:
 def _distinct_piece_nodes(intervals, pair: ExponentPair) -> int:
     # Every piece of a straddle family is origin-anchored, so it is known by
     # its right end; it is integrated at every level reached by any interval
-    # owning it.
+    # owning it, all 11 cells of 16 nodes at level 0 and the 5 new cells
+    # next to 0 at each later level.
     reach: dict[tuple[float, float], int] = {}
     for iv in intervals:
         ends = {iv.hi, -iv.lo} if iv.lo < 0.0 else {iv.hi}
         for order, levels in _levels(iv, pair).items():
             for end in ends:
                 reach[order, end] = max(reach.get((order, end), 0), levels)
-    return sum(
-        16 * means._cells("zero", level) for levels in reach.values() for level in range(levels)
-    )
+    return sum(16 * (11 + 5 * (levels - 1)) for levels in reach.values())
 
 
 def _batch_nodes(intervals, pair: ExponentPair) -> tuple[list[float], int]:
@@ -267,6 +266,30 @@ def test_shared_piece_is_integrated_until_its_last_owner_converges():
     ext = EvenExtensionView(RecordingRoot())
     assert got == [mean_ratio(ext, iv, pair) for iv in intervals]
     assert nodes == _distinct_piece_nodes(intervals, pair)
+
+
+@pytest.mark.parametrize("s", [None, -0.5, 0.5], ids=["p=1", "s=-0.5", "s=0.5"])
+def test_origin_anchored_level_from_the_last_equals_whole_mesh(s):
+    # A level splits the first u-cell of the one before into five and keeps
+    # the rest, so building it from the previous level's cell sums must give
+    # the cell sums of its whole mesh, and so the same integral bit for bit.
+    his = np.array([1e-3, 0.7, 1.0, 3.0, 250.0])
+    sizes: list[int] = []
+
+    def fo(x):
+        sizes.append(x.size)
+        smooth = np.exp(-x) + 1.0 / (1.0 + x * x)
+        return smooth if s is None else x**s * smooth
+
+    rows = np.zeros((len(his), 0))
+    for level in range(7):
+        sizes.clear()
+        rows = means._zero_anchored_rows(fo, his, s, level, rows)
+        assert sizes == [len(his) * 16 * (11 if level == 0 else 5)]
+        whole = means._zero_anchored_cells(fo, his, s, means._zero_edges(level))
+        assert rows.shape == (len(his), 11 + 4 * level)
+        assert rows.tolist() == whole.tolist()
+        assert np.sum(rows, axis=1).tolist() == np.sum(whole, axis=1).tolist()
 
 
 def _exact_table_mean(xs, fs, lo, hi, order):
