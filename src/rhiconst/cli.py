@@ -36,7 +36,6 @@ from .means import (
     AffinePower,
     ExpDecay,
     FunctionSpec,
-    Monotonicity,
     PowerLaw,
     table_from_csv,
 )
@@ -170,10 +169,6 @@ def _parse_sequence(spec: str, spacing: str) -> list[float]:
     return [stop + (start - stop) * 0.5**k for k in range(count)]
 
 
-def _parse_monotone(text: str) -> Monotonicity:
-    return Monotonicity.INCREASING if text == "inc" else Monotonicity.DECREASING
-
-
 _FUNCTION_FORMS = "pow:gamma=G | affpow:a=A,gamma=G,c=C | expdecay:lambda=L"
 
 # Function kinds: the spec class and its fields, in constructor order.
@@ -305,7 +300,6 @@ def _estimate_results(f: FunctionSpec, pair: ExponentPair, args) -> dict:
         "halfline_witness_hi": est.witness.hi,
         "halfline_converged": est.converged,
         "halfline_search_points": est.search_points,
-        "reduction_certified": est.reduction_certified,
     }
     if rep is None:
         return results
@@ -325,17 +319,11 @@ def _estimate_results(f: FunctionSpec, pair: ExponentPair, args) -> dict:
 
 def _cmd_estimate(args) -> int:
     pair = _pair_from(args)
-    declared = _parse_monotone(args.monotone) if args.monotone else None
     if args.function is not None:
         f = _parse_function(args.function)
-        if declared is not None and f.monotonicity is not declared:
-            raise DomainError(
-                f"--monotone {args.monotone} contradicts {f.describe()},"
-                f" which is {f.monotonicity.value}"
-            )
         source = args.function
     else:
-        f = table_from_csv(args.csv, declared or Monotonicity.UNKNOWN)
+        f = table_from_csv(args.csv)
         if (pair.alpha < 0.0 or pair.beta < 0.0) and not f.strictly_positive:
             raise DataError(
                 "table contains zero values; negative-order means are undefined"
@@ -421,7 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--function", default=None, help=_FUNCTION_FORMS)
     group.add_argument("--csv", default=None, help="path to an x,f table")
-    p.add_argument("--monotone", choices=("inc", "dec"), default=None)
     p.add_argument("--extension", action="store_true")
     p.set_defaults(handler=_cmd_estimate)
 

@@ -18,10 +18,10 @@ Reductions from the structure of the input shrink the search space:
   extension search to eps alone at b = 1.
 
 Analytic inputs of unknown monotonicity get the full two-dimensional
-(start, width) search.  Sampled tables, monotone or not, get no reduction:
-their means are exact (means.py), so every window between two knots is
-scored, and the best knot pairs are then polished with both ends free
-inside the neighbouring stretches.
+(start, width) search.  Sampled tables get no reduction: their means are
+exact (means.py), so every window between two knots is scored, and the
+best knot pairs are then polished with both ends free inside the
+neighbouring stretches.
 """
 
 from __future__ import annotations
@@ -86,17 +86,12 @@ class SupremumEstimate:
     value is a lower bound on the true supremum.  converged reports that
     the last refinement round improved the incumbent by less than the
     search's relative stopping gain; it is not an upper-bound certificate.
-    reduction_certified is False when a dimensional reduction was applied
-    outside the setting that justifies it.  Every search here reduces only
-    where the reduction is proven, so it is always True; it stays part of
-    the estimate record.
     """
 
     value: float
     witness: Interval
     search_points: int
     converged: bool
-    reduction_certified: bool = True
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value) or self.value < 1.0 - 1e-6:
@@ -245,13 +240,13 @@ def _exp(w: np.ndarray) -> np.ndarray:
     return np.array([math.exp(x) for x in w.tolist()])
 
 
-def _check_input(f: FunctionSpec, pair: ExponentPair, touches_origin: bool) -> None:
+def _check_input(f: FunctionSpec, pair: ExponentPair) -> None:
     lo, _ = f.domain
     if lo < 0.0:
         raise DomainError("expected a function on the positive half-line")
     if (pair.alpha < 0.0 or pair.beta < 0.0) and not f.strictly_positive:
         raise DomainError("negative orders need a strictly positive function")
-    if touches_origin and lo == 0.0:
+    if lo == 0.0:
         for order in (pair.alpha, pair.beta):
             s = f.zero_power_exponent(order)
             if s is not None and s <= -1.0:
@@ -372,14 +367,13 @@ def estimate_halfline(
 ) -> SupremumEstimate:
     """Searched lower bound on the half-line mean-ratio supremum.
 
-    A table gets the exhaustive knot-pair scan and polish whatever its
-    declared monotonicity.  Monotone analytic inputs use the
-    one-dimensional origin-anchored family; a use_reduction=False
-    override forces the two-dimensional search, which exists mostly so
-    the reduction itself can be cross-checked.
+    A table gets the exhaustive knot-pair scan and polish.  Monotone
+    analytic inputs use the one-dimensional origin-anchored family; a
+    use_reduction=False override forces the two-dimensional search, which
+    exists mostly so the reduction itself can be cross-checked.
     """
     cfg = cfg or SearchConfig()
-    _check_input(f, pair, touches_origin=True)
+    _check_input(f, pair)
     if isinstance(f, SampledTable):
         return _search_table(f, pair)
 
@@ -418,6 +412,17 @@ def _eps_seeds(n: int) -> np.ndarray:
     return seeds[np.append(True, seeds[1:] != seeds[:-1])]
 
 
+def _check_extension_input(f: FunctionSpec, pair: ExponentPair) -> None:
+    if isinstance(f, SampledTable):
+        raise DataError(
+            "even extension of a table is undefined near the origin;"
+            " supply an analytic function spec"
+        )
+    if isinstance(f, EvenExtensionView):
+        raise DomainError("input is already an even extension")
+    _check_input(f, pair)
+
+
 def estimate_extension(
     f: FunctionSpec, pair: ExponentPair, cfg: SearchConfig | None = None
 ) -> SupremumEstimate:
@@ -428,14 +433,7 @@ def estimate_extension(
     extension is undefined on the gap around the origin.
     """
     cfg = cfg or SearchConfig()
-    if isinstance(f, SampledTable):
-        raise DataError(
-            "even extension of a table is undefined near the origin;"
-            " supply an analytic function spec"
-        )
-    if isinstance(f, EvenExtensionView):
-        raise DomainError("input is already an even extension")
-    _check_input(f, pair, touches_origin=True)
+    _check_extension_input(f, pair)
     extended = EvenExtensionView(f)
 
     def straddle(points: np.ndarray):
@@ -456,8 +454,10 @@ def extension_ratio(
     """Growth of the supremum under even extension, checked against the bound.
 
     Both searches must converge; the ratio of two unsettled lower bounds
-    says nothing and is refused rather than reported.
+    says nothing and is refused rather than reported.  An input without an
+    even extension is refused before either search runs.
     """
+    _check_extension_input(f, pair)
     halfline = estimate_halfline(f, pair, cfg)
     extension = estimate_extension(f, pair, cfg)
     if not (halfline.converged and extension.converged):

@@ -78,7 +78,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,13 +256,14 @@ class SampledTable(FunctionSpec):
     """Piecewise-linear interpolant of sampled values, no extrapolation.
 
     Abscissae must be strictly increasing and positive, values nonnegative
-    and finite, at least two points.  A declared monotonicity is checked
-    against the data at construction; UNKNOWN is never upgraded.
+    and finite, at least two points.  A table's monotonicity is UNKNOWN
+    whatever its data: its search is exhaustive and assumes no shape.
     """
 
     xs: np.ndarray
     fs: np.ndarray
-    monotonicity: Monotonicity = field(default=Monotonicity.UNKNOWN)
+
+    monotonicity = Monotonicity.UNKNOWN
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float).copy()
@@ -279,11 +280,6 @@ class SampledTable(FunctionSpec):
             raise DataError("table abscissae must be strictly increasing")
         if np.any(fs < 0.0):
             raise DataError("table values must be nonnegative")
-        d = np.diff(fs)
-        if self.monotonicity is Monotonicity.INCREASING and np.any(d < 0.0):
-            raise DataError("declared increasing but values decrease somewhere")
-        if self.monotonicity is Monotonicity.DECREASING and np.any(d > 0.0):
-            raise DataError("declared decreasing but values increase somewhere")
         xs.setflags(write=False)
         fs.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -346,7 +342,7 @@ class EvenExtensionView(FunctionSpec):
         return f"even({self.base.describe()})"
 
 
-def table_from_csv(path: str, monotonicity: Monotonicity = Monotonicity.UNKNOWN) -> SampledTable:
+def table_from_csv(path: str) -> SampledTable:
     """Load a SampledTable from a CSV file with header ``x,f``."""
     try:
         with open(path, newline="") as fh:
@@ -370,7 +366,7 @@ def table_from_csv(path: str, monotonicity: Monotonicity = Monotonicity.UNKNOWN)
             raise DataError(f"{path}:{lineno}: non-numeric entry") from exc
     if not xs:
         raise DataError(f"{path}: no data rows")
-    return SampledTable(np.array(xs), np.array(fs), monotonicity)
+    return SampledTable(np.array(xs), np.array(fs))
 
 
 # ---------------------------------------------------------------------------

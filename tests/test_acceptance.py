@@ -29,7 +29,6 @@ from rhiconst.generic import estimate_halfline, extension_ratio
 from rhiconst.means import (
     AffinePower,
     ExpDecay,
-    Monotonicity,
     PowerLaw,
     SampledTable,
 )
@@ -137,11 +136,11 @@ def test_extension_growth_never_exceeds_class_bound():
     xs = np.linspace(0.5, 8.0, 60)
     tables = [
         (
-            SampledTable(tuple(xs), tuple(x * x + 1.0 for x in xs), Monotonicity.INCREASING),
+            SampledTable(tuple(xs), tuple(x * x + 1.0 for x in xs)),
             ExponentPair(1.0, 2.0),
         ),
         (
-            SampledTable(tuple(xs), tuple(np.exp(-0.7 * xs)), Monotonicity.DECREASING),
+            SampledTable(tuple(xs), tuple(np.exp(-0.7 * xs))),
             ExponentPair(-0.4, -0.2),
         ),
     ]
@@ -264,7 +263,6 @@ def test_origin_anchored_search_dominates_full_grid():
     for f, (a, b) in REDUCTION_ROWS:
         pair = ExponentPair(a, b)
         est = estimate_halfline(f, pair, SearchConfig())
-        assert est.reduction_certified
         brute = brute_halfline(f, pair, OracleConfig())
         assert brute <= est.value + 1e-4, (f.describe(), a, b, brute, est.value)
 

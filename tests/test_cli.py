@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from rhiconst import cli, generic, oracle, power
+from rhiconst.core import DataError, ExponentPair
+from rhiconst.means import SampledTable
 
 SQRT2 = math.sqrt(2.0)
 P_12 = 2.0 / math.sqrt(3.0)
@@ -215,14 +217,13 @@ def test_sweep_count_above_the_cap_is_refused(capsys, selector):
 # ---------------------------------------------------------------------------
 
 
-def test_estimate_function_reduction_certified(capsys):
+def test_estimate_function_halfline_matches_closed_form(capsys):
     code, out, _ = run_cli(
         capsys,
         "estimate", "--alpha", "1", "--beta", "2", "--function", "pow:gamma=1",
     )
     assert code == 0
     results = json.loads(out)["results"]
-    assert results["reduction_certified"] is True
     assert results["halfline_converged"] is True
     assert results["halfline_witness_lo"] == 0.0
     assert math.isclose(results["halfline_value"], P_12, rel_tol=1e-6)
@@ -242,37 +243,65 @@ def test_estimate_extension_reports_bound(capsys):
     assert results["extension_witness_lo"] < 0.0 < results["extension_witness_hi"]
 
 
-def test_estimate_monotone_table_only_validates_data(capsys, tmp_path):
-    # --monotone on a table checks the data; the search is the same
-    # exhaustive one as without it, and applies no reduction.
-    path = write_table(
-        tmp_path / "inc.csv",
-        [(0.5 + 0.125 * k, (0.5 + 0.125 * k) ** 2 + 1.0) for k in range(61)],
-    )
-    argv = ("estimate", "--alpha", "1", "--beta", "2", "--csv", path)
-    code, out, _ = run_cli(capsys, *argv, "--monotone", "inc")
-    assert code == 0
-    declared = json.loads(out)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    undeclared = json.loads(out)
-    assert declared["results"] == undeclared["results"]
-    assert declared["results"]["reduction_certified"] is True
-    assert declared["results"]["halfline_converged"] is True
-    assert declared["diagnostics"]["monotonicity"] == "increasing"
-    assert undeclared["diagnostics"]["monotonicity"] == "unknown"
-    code, _, err = run_cli(capsys, *argv, "--monotone", "dec")
-    assert code == 4 and "declared decreasing" in err
+_HALFLINE_KEYS = [
+    "halfline_value",
+    "halfline_witness_lo",
+    "halfline_witness_hi",
+    "halfline_converged",
+    "halfline_search_points",
+]
+_EXTENSION_KEYS = [
+    "extension_value",
+    "extension_witness_lo",
+    "extension_witness_hi",
+    "extension_converged",
+    "extension_search_points",
+    "ratio",
+    "upper_bound",
+    "bound_satisfied",
+]
 
 
-def test_estimate_monotone_contradiction(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "estimate", "--alpha", "1", "--beta", "2",
-        "--function", "pow:gamma=1", "--monotone", "dec",
+@pytest.mark.parametrize(
+    "source, flags, results_keys, monotonicity",
+    [
+        ("function", (), _HALFLINE_KEYS, "increasing"),
+        ("function", ("--extension",), _HALFLINE_KEYS + _EXTENSION_KEYS, "increasing"),
+        ("table", (), _HALFLINE_KEYS, "unknown"),
+    ],
+    ids=["function", "function-extension", "table"],
+)
+def test_estimate_record_keys(capsys, tmp_path, source, flags, results_keys, monotonicity):
+    if source == "function":
+        selector = ("--function", "pow:gamma=1")
+    else:
+        # Increasing data, yet a table reports its monotonicity as unknown.
+        path = write_table(
+            tmp_path / "inc.csv",
+            [(0.5 + 0.125 * k, (0.5 + 0.125 * k) ** 2 + 1.0) for k in range(61)],
+        )
+        selector = ("--csv", path)
+    code, out, err = run_cli(
+        capsys, "estimate", "--alpha", "1", "--beta", "2", *selector, *flags
     )
-    assert code == 2
-    assert "contradicts" in err
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert list(record["results"]) == results_keys
+    assert list(record["diagnostics"]) == ["quad_tol", "monotonicity"]
+    assert record["diagnostics"]["monotonicity"] == monotonicity
+    assert record["results"]["halfline_converged"] is True
+
+
+def test_estimate_monotone_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["estimate", "--alpha", "1", "--beta", "2",
+             "--function", "pow:gamma=1", "--monotone", "inc"]
+        )
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --monotone inc" in captured.err
 
 
 def test_estimate_zero_table_negative_order(capsys, tmp_path):
@@ -299,6 +328,23 @@ def test_estimate_table_extension_refused(capsys, tmp_path):
     )
     assert code == 4
     assert "data error" in err
+
+
+def test_table_extension_is_refused_before_any_search(capsys, tmp_path, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the table search ran before the refusal")
+
+    monkeypatch.setattr(generic, "_search_table", no_search)
+    xs = np.linspace(0.5, 8.0, 60)
+    with pytest.raises(DataError, match="even extension of a table"):
+        generic.extension_ratio(SampledTable(xs, xs + 1.0), ExponentPair(1.0, 2.0))
+    path = write_table(tmp_path / "t.csv", list(zip(xs.tolist(), (xs + 1.0).tolist())))
+    code, out, err = run_cli(
+        capsys,
+        "estimate", "--alpha", "1", "--beta", "2", "--csv", path, "--extension",
+    )
+    assert code == 4 and out == ""
+    assert "even extension of a table" in err
 
 
 def test_estimate_unknown_function_kind(capsys):

@@ -25,7 +25,6 @@ from rhiconst.generic import (
 from rhiconst.means import (
     AffinePower,
     ExpDecay,
-    Monotonicity,
     PowerLaw,
     SampledTable,
     mean_ratio,
@@ -46,7 +45,6 @@ def test_halfline_estimate_matches_closed_form():
     est = estimate_halfline(PowerLaw(1.0), ExponentPair(1.0, 2.0), CFG)
     assert math.isclose(est.value, P_12, rel_tol=1e-6)
     assert est.converged
-    assert est.reduction_certified
     assert est.witness.lo == 0.0
 
 
@@ -116,9 +114,8 @@ def test_estimates_agree_with_brute_force():
 
 
 def test_monotone_table_gets_the_exhaustive_search():
-    # A declared monotonicity only validates a table: the search is the
-    # exhaustive knot-pair scan and polish either way, never the reduction
-    # to windows anchored at the first knot.
+    # Increasing data still gets the exhaustive knot-pair scan and polish,
+    # never the reduction to windows anchored at the first knot.
     xs = np.linspace(0.5, 8.0, 120)
     tables = [
         (xs, xs**2 + 1.0),
@@ -126,10 +123,8 @@ def test_monotone_table_gets_the_exhaustive_search():
     ]
     pair = ExponentPair(1.0, 2.0)
     for knots, values in tables:
-        tbl = SampledTable(knots, values, Monotonicity.INCREASING)
+        tbl = SampledTable(knots, values)
         est = estimate_halfline(tbl, pair, CFG)
-        assert est.reduction_certified
-        assert est == estimate_halfline(SampledTable(knots, values), pair, CFG)
         assert tbl.domain[0] <= est.witness.lo < est.witness.hi <= tbl.domain[1]
         again = quad_mean(tbl, est.witness, 2.0).value / quad_mean(tbl, est.witness, 1.0).value
         assert math.isclose(again, est.value, rel_tol=1e-12)
@@ -178,15 +173,12 @@ def test_table_search_reaches_every_knot_pair_and_the_oracle(case):
     # one window's mean, so a near-tie can rank in the last bits either way.
     assert est.value >= _knot_pair_best(tbl, pair) * (1.0 - 1e-13)
     assert est.value >= brute_halfline(tbl, pair) * (1.0 - 1e-9)
-    if np.all(np.diff(fs) >= 0.0):
-        assert estimate_halfline(SampledTable(xs, fs, Monotonicity.INCREASING), pair) == est
 
 
 def test_table_without_declared_monotonicity_gets_full_search():
     xs = np.linspace(0.5, 4.0, 80)
     tbl = SampledTable(xs, np.sin(xs) + 2.0)
     est = estimate_halfline(tbl, ExponentPair(1.0, 2.0), CFG)
-    assert est.reduction_certified  # no reduction was applied
     assert est.value >= 1.0
     assert est.witness.lo >= 0.5 and est.witness.hi <= 4.0
 
@@ -348,7 +340,7 @@ def test_search_scores_invalid_bounds_as_minus_inf(monkeypatch):
 
 def test_table_extension_is_rejected():
     xs = np.linspace(0.5, 8.0, 60)
-    tbl = SampledTable(xs, xs.copy(), Monotonicity.INCREASING)
+    tbl = SampledTable(xs, xs.copy())
     with pytest.raises(DataError):
         estimate_extension(tbl, ExponentPair(1.0, 2.0), CFG)
 

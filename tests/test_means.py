@@ -95,17 +95,9 @@ def test_even_extension_evaluates_by_reflection():
 
 def test_table_tracks_sampled_function():
     xs = np.linspace(1.0, 4.0, 301)
-    tbl = SampledTable(xs, xs.copy(), Monotonicity.INCREASING)
+    tbl = SampledTable(xs, xs.copy())
     m = quad_mean(tbl, Interval(1.0, 4.0), 3.0)
     assert math.isclose(m.value, CUBIC_ID_1_4, rel_tol=1e-4)
-
-
-def test_table_declared_monotonicity_is_checked():
-    xs = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(DataError):
-        SampledTable(xs, np.array([1.0, 5.0, 2.0]), Monotonicity.INCREASING)
-    with pytest.raises(DataError):
-        SampledTable(xs, np.array([5.0, 1.0, 2.0]), Monotonicity.DECREASING)
 
 
 def test_table_refuses_extrapolation():
@@ -496,9 +488,9 @@ def test_describe_strings_round_trip_the_parameters():
 def test_table_from_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x,f\n1.0,2.0\n2.0,3.0\n3.0,5.5\n")
-    tbl = table_from_csv(str(path), Monotonicity.INCREASING)
+    tbl = table_from_csv(str(path))
     assert tbl.domain == (1.0, 3.0)
-    assert tbl.monotonicity is Monotonicity.INCREASING
+    assert tbl.monotonicity is Monotonicity.UNKNOWN
     assert np.allclose(tbl.fs, [2.0, 3.0, 5.5])
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rhiconst.core import DataError, DomainError, ExponentPair
-from rhiconst.means import AffinePower, Monotonicity, PowerLaw, SampledTable
+from rhiconst.means import AffinePower, PowerLaw, SampledTable
 from rhiconst.oracle import (
     OracleConfig,
     brute_extension,
@@ -80,7 +80,7 @@ def test_brute_is_deterministic():
 
 def test_table_halfline_works_and_extension_is_rejected():
     xs = np.linspace(0.5, 8.0, 90)
-    tbl = SampledTable(xs, xs + 1.0, Monotonicity.INCREASING)
+    tbl = SampledTable(xs, xs + 1.0)
     value = brute_halfline(tbl, ExponentPair(1.0, 2.0))
     assert value >= 1.0
     with pytest.raises(DataError):
@@ -91,7 +91,7 @@ def test_window_ratio_matches_closed_forms_and_checks_the_domain():
     pair = ExponentPair(1.0, 2.0)
     assert math.isclose(window_ratio(PowerLaw(1.0), pair, 0.0, 3.0), P_12, rel_tol=1e-9)
     xs = np.linspace(1.0, 4.0, 7)
-    tbl = SampledTable(xs, xs.copy(), Monotonicity.INCREASING)
+    tbl = SampledTable(xs, xs.copy())
     # On the tabulated identity, (1, 2) has M_2 / M_1 = sqrt(7/3) / (3/2).
     assert math.isclose(window_ratio(tbl, pair, 1.0, 2.0), math.sqrt(7.0 / 3.0) / 1.5, rel_tol=1e-12)
     with pytest.raises(DomainError):
