@@ -22,6 +22,13 @@ Analytic inputs of unknown monotonicity get the full two-dimensional
 exact (means.py), so every window between two knots is scored, and the
 best knot pairs are then polished with both ends free inside the
 neighbouring stretches.
+
+Every search runs on one engine, _grid_refine, which refines many
+independent searches in lockstep; an analytic search is a batch of one.
+A table's polishes run as one batch, so each refinement round is one
+scoring pass over the stencils of every polish still refining, and the
+rule that skips a pair next to a better settled one is replayed over the
+finished polishes in pair order.
 """
 
 from __future__ import annotations
@@ -64,7 +71,9 @@ __all__ = [
 _EPS_TAIL_FLOOR = 1e-6
 
 # Most points scored by one batched quadrature pass.  A pass holds some
-# state per interval, so this bounds memory whatever the grid size.
+# state per interval, so this bounds memory whatever the grid size.  A
+# table pass holds O(1) state per window and is not sliced: a round of
+# the table polish scores at most _POLISH_PAIRS * 81 windows.
 _SCORE_SLICE = 256
 
 # Most knot pairs held at once by the exhaustive table scan.
@@ -126,19 +135,22 @@ class ExtensionRatio:
 # Search engine
 # ---------------------------------------------------------------------------
 #
-# The engine scores whole point sets at once: a search family
-# bounds(points) maps an (n, d) array of coordinates to the endpoint
-# arrays (lo, hi) of n intervals, and the seed grid and each refinement
-# stencil cost one batched quadrature pass (means._scored_ratios) per
-# _SCORE_SLICE points instead of one Python call per interval.  Slices take
-# the rows in order of their right ends, not in grid order: a pass
-# integrates each distinct piece once, and the straddles (-eps*b, b) of one
-# b share their piece (0, b), so a slice that holds whole b-columns of the
-# seed grid integrates each (0, b) once instead of once per eps.  A row that
-# is no interval (an endpoint not finite, or lo >= hi) or cannot be
-# evaluated (overflow, exhausted quadrature) scores -inf, never NaN, and
-# counts as a plain non-maximum.  Coordinates are whatever the caller
-# chose (log-scale or linear); refinement is linear in that coordinate.
+# The engine runs many independent searches in lockstep and scores whole
+# point sets at once: a search family bounds(points) maps an (n, d) array
+# of coordinates to the endpoint arrays (lo, hi) of n intervals, and the
+# seed grids of all searches, then each round's refinement stencils of the
+# searches still refining, cost one batched pass (means._scored_ratios)
+# instead of one Python call per interval.  A quadrature pass keeps some
+# state per interval, so it takes at most _SCORE_SLICE rows, in order of
+# their right ends, not in grid order: a pass integrates each distinct
+# piece once, and the straddles (-eps*b, b) of one b share their piece
+# (0, b), so a slice that holds whole b-columns of the seed grid integrates
+# each (0, b) once instead of once per eps.  A table pass keeps O(1) state
+# per window and takes every row at once.  A row that is no interval (an
+# endpoint not finite, or lo >= hi) or cannot be evaluated (overflow,
+# exhausted quadrature) scores -inf, never NaN, and counts as a plain
+# non-maximum.  Coordinates are whatever the caller chose (log-scale or
+# linear); refinement is linear in that coordinate.
 #
 # Every mean is taken to QUAD_TOL within _QUAD_MAX_LEVELS mesh doublings.
 # A search runs at most _REFINE_ROUNDS rounds, shrinking its brackets by
@@ -160,78 +172,148 @@ def _product(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _grid_refine(score, seeds, rtol: float = _CONVERGE_RTOL):
-    """Maximize a vectorised score over the product of per-axis seed arrays.
+def _stencils(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """9 points per axis over each search's brackets (lo[s], hi[s]).
 
-    The whole seed grid is scored and the first maximum becomes the
-    incumbent, bracketed per axis by its neighbouring seeds.  Each of at
-    most _REFINE_ROUNDS refinement rounds scores a 9-point-per-axis
-    stencil over the brackets and moves the incumbent to the stencil's
-    first maximum only on a strict improvement.  A round that gains less
-    than rtol (relative) ends the search; otherwise every bracket shrinks
-    by _REFINE_SHRINK around the incumbent, clipped to the seed range of
-    its axis.
-
-    Returns (point, best, evals, converged) with point a tuple of floats.
+    Returns an (n, 9**d, d) array holding each search's stencil in
+    _product order.  np.linspace along the last axis gives each bracket
+    the bits of its own scalar np.linspace call.
     """
-    grid = _product(seeds)
-    vals = score(grid)
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    if not math.isfinite(best):
-        raise NumericError("no interval in the search family could be evaluated")
-    index = np.unravel_index(k, [len(s) for s in seeds])
-    point = tuple(grid[k].tolist())
-    brackets = [
-        (float(s[i - 1]) if i > 0 else x, float(s[i + 1]) if i + 1 < len(s) else x)
-        for s, i, x in zip(seeds, index, point)
+    n, d = lo.shape
+    axes = np.linspace(lo, hi, 9, axis=-1)
+    shape = (n,) + (9,) * d
+    cols = [
+        np.broadcast_to(axes[:, k].reshape((n,) + (1,) * k + (9,) + (1,) * (d - 1 - k)), shape)
+        for k in range(d)
     ]
-    evals = len(vals)
-    converged = False
-    for _ in range(_REFINE_ROUNDS):
-        previous = best
-        stencil = _product([np.linspace(lo, hi, 9) for lo, hi in brackets])
-        vals = score(stencil)
-        evals += len(vals)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, point = float(vals[k]), tuple(stencil[k].tolist())
-        if (best - previous) / previous < rtol:
-            converged = True
-            break
-        halves = [(hi - lo) / (2.0 * _REFINE_SHRINK) for lo, hi in brackets]
-        brackets = [
-            (max(float(s[0]), x - half), min(float(s[-1]), x + half))
-            for s, x, half in zip(seeds, point, halves)
-        ]
-    return point, best, evals, converged
+    return np.stack(cols, axis=-1).reshape(n, -1, d)
 
 
-def _search(f: FunctionSpec, pair: ExponentPair, bounds, seeds, rtol: float = _CONVERGE_RTOL):
-    """Largest mean ratio of f over the intervals of the family bounds.
+def _grid_refine(score, boxes, rtol: float = _CONVERGE_RTOL) -> list:
+    """Maximize a vectorised score over many product grids in lockstep.
 
-    bounds(points) gives the endpoint arrays (lo, hi) of the intervals at
-    an (n, d) array of points.  Returns (value, witness, evals,
-    converged).  The witness is scored once more by the scalar
-    mean_ratio, which must give the batched value exactly.
+    boxes holds one search each: a list of per-axis seed arrays, the same
+    number of axes for every search.  The seed grids of all searches are
+    scored in one call, and in each search the first maximum of its own
+    grid becomes its incumbent, bracketed per axis by its neighbouring
+    seeds.  Each of at most _REFINE_ROUNDS refinement rounds scores a
+    9-point-per-axis stencil over the brackets of every search still
+    refining, again in one call, and moves a search's incumbent to its
+    stencil's first maximum only on a strict improvement.  A round that
+    gains less than rtol (relative) ends that search; otherwise every
+    bracket of it shrinks by _REFINE_SHRINK around its incumbent, clipped
+    to the seed range of its axis.  A search returns exactly what it would
+    return alone.
+
+    Returns, per search, (point, best, evals, converged) with point a
+    tuple of floats, or the NumericError of a search none of whose seeds
+    could be evaluated.
     """
+    grids = [_product(seeds) for seeds in boxes]
+    vals = score(np.concatenate(grids))
+    n, d = len(boxes), len(boxes[0])
+    point, lo, hi, first, last = (np.zeros((n, d)) for _ in range(5))
+    best = np.full(n, -math.inf)
+    evals = np.array([len(grid) for grid in grids])
+    active = np.ones(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
+    errors = {}
+    ends = np.cumsum(evals)
+    for s, (seeds, grid) in enumerate(zip(boxes, grids)):
+        own = vals[ends[s] - len(grid) : ends[s]]
+        k = int(np.argmax(own))
+        best[s], point[s] = own[k], grid[k]
+        if not math.isfinite(best[s]):
+            errors[s] = NumericError("no interval in the search family could be evaluated")
+            active[s] = False
+            continue
+        index = np.unravel_index(k, [len(a) for a in seeds])
+        for axis, (a, i) in enumerate(zip(seeds, index)):
+            lo[s, axis] = a[max(i - 1, 0)]
+            hi[s, axis] = a[min(i + 1, len(a) - 1)]
+            first[s, axis], last[s, axis] = a[0], a[-1]
+    for _ in range(_REFINE_ROUNDS):
+        act = np.flatnonzero(active)
+        if not len(act):
+            break
+        stencil = _stencils(lo[act], hi[act])
+        vals = score(stencil.reshape(-1, d)).reshape(len(act), -1)
+        evals[act] += vals.shape[1]
+        k = np.argmax(vals, axis=1)
+        top = vals[np.arange(len(act)), k]
+        previous = best[act]
+        better = top > previous
+        best[act[better]] = top[better]
+        point[act[better]] = stencil[better, k[better]]
+        done = (best[act] - previous) / previous < rtol
+        converged[act[done]] = True
+        active[act[done]] = False
+        act = act[~done]
+        halves = (hi[act] - lo[act]) / (2.0 * _REFINE_SHRINK)
+        lo[act] = np.maximum(first[act], point[act] - halves)
+        hi[act] = np.minimum(last[act], point[act] + halves)
+    return [
+        errors[s]
+        if s in errors
+        else (tuple(point[s].tolist()), float(best[s]), int(evals[s]), bool(converged[s]))
+        for s in range(n)
+    ]
+
+
+def _search(f: FunctionSpec, pair: ExponentPair, bounds, boxes, rtol: float = _CONVERGE_RTOL):
+    """Largest mean ratios of f over the intervals of the family bounds.
+
+    One lockstep search runs per box of seeds (_grid_refine).  bounds(points)
+    gives the endpoint arrays (lo, hi) of the intervals at an (n, d) array
+    of points.  Returns, per box, (value, witness, evals, converged) or the
+    NumericError of a box none of whose seeds could be evaluated.
+    """
+    whole = isinstance(f, SampledTable)
 
     def score(points: np.ndarray) -> np.ndarray:
         scores = np.full(len(points), -math.inf)
         lo, hi = bounds(points)
         rows = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
         rows = rows[np.argsort(hi[rows], kind="stable")]
-        for i in range(0, len(rows), _SCORE_SLICE):
-            r = rows[i : i + _SCORE_SLICE]
+        step = max(1, len(rows)) if whole else _SCORE_SLICE
+        for i in range(0, len(rows), step):
+            r = rows[i : i + step]
             scores[r] = _scored_ratios(f, lo[r], hi[r], pair, QUAD_TOL, _QUAD_MAX_LEVELS)
         return scores
 
-    point, value, evals, converged = _grid_refine(score, seeds, rtol)
-    lo, hi = bounds(np.array([point]))
-    witness = Interval(lo[0], hi[0])
+    found = []
+    for result in _grid_refine(score, boxes, rtol):
+        if not isinstance(result, NumericError):
+            point, value, evals, converged = result
+            lo, hi = bounds(np.array([point]))
+            result = (value, Interval(lo[0], hi[0]), evals, converged)
+        found.append(result)
+    return found
+
+
+def _best(f: FunctionSpec, pair: ExponentPair, found, evals: int = 0) -> SupremumEstimate:
+    """The first best of the searches found; a failed search raises its error.
+
+    Its search points are evals plus the evaluations of every search in
+    found.  The other searches' witnesses are scored again in one batch,
+    and the winner's by the scalar mean_ratio; each must give its search's
+    value exactly.
+    """
+    for result in found:
+        if isinstance(result, NumericError):
+            raise result
+    win = max(range(len(found)), key=lambda s: found[s][0])
+    others = found[:win] + found[win + 1 :]
+    if others:
+        lo = np.array([r[1].lo for r in others])
+        hi = np.array([r[1].hi for r in others])
+        again = _scored_ratios(f, lo, hi, pair, QUAD_TOL, _QUAD_MAX_LEVELS)
+        if again.tolist() != [r[0] for r in others]:
+            raise NumericError("a witness does not reproduce its batched score")
+    value, witness, _, converged = found[win]
     if mean_ratio(f, witness, pair, QUAD_TOL, _QUAD_MAX_LEVELS) != value:
         raise NumericError("the witness does not reproduce its batched score")
-    return value, witness, evals, converged
+    return SupremumEstimate(value, witness, evals + sum(r[2] for r in found), converged)
 
 
 def _exp(w: np.ndarray) -> np.ndarray:
@@ -333,29 +415,30 @@ def _search_table(table: SampledTable, pair: ExponentPair) -> SupremumEstimate:
     Each polish is a 2-D search over windows (a, b) with a and b free in
     the stretches beside the pair's two knots (its box), until a round
     gains less than _POLISH_RTOL; its seed grid holds the knot pair
-    itself.  A pair whose knots are both within one knot of a better pair
-    already polished is skipped if that polish ended strictly inside its
-    box: the two boxes overlap, and that polish settled on a maximum
-    there rather than one past its edge.  The best polished window wins,
-    the first on ties.
+    itself.  All polishes run in one lockstep batch, and the skip rule is
+    then replayed over them in pair order: a pair whose knots are both
+    within one knot of a better pair already counted is skipped if that
+    polish ended strictly inside its box, since the two boxes overlap and
+    that polish settled on a maximum there rather than one past its edge.
+    A skipped pair adds neither its evaluations nor its error.  The best
+    counted window wins, the first on ties.
     """
     xs = table.xs
     pairs, evals = _scan_knot_pairs(table, pair)
-    settled, best = [], None
-    for i, j in pairs:
+    boxes = [[_knot_seeds(xs, i), _knot_seeds(xs, j)] for i, j in pairs]
+    found = _search(table, pair, lambda p: (p[:, 0], p[:, 1]), boxes, _POLISH_RTOL)
+    settled, counted = [], []
+    for (i, j), box, result in zip(pairs, boxes, found):
         if any(abs(i - a) <= 1 and abs(j - b) <= 1 for a, b in settled):
             continue
-        box = [_knot_seeds(xs, i), _knot_seeds(xs, j)]
-        found = _search(table, pair, lambda p: (p[:, 0], p[:, 1]), box, _POLISH_RTOL)
-        evals += found[2]
-        if best is None or found[0] > best[0]:
-            best = found
+        counted.append(result)
+        if isinstance(result, NumericError):
+            break
         # A box edge at a table end cannot be crossed, so it does not count.
-        ends = (found[1].lo, found[1].hi)
+        ends = (result[1].lo, result[1].hi)
         if not any(x in (s[0], s[-1]) and x not in (xs[0], xs[-1]) for x, s in zip(ends, box)):
             settled.append((i, j))
-    value, witness, _, converged = best
-    return SupremumEstimate(value, witness, evals, converged)
+    return _best(table, pair, counted, evals)
 
 
 def estimate_halfline(
@@ -367,10 +450,12 @@ def estimate_halfline(
 ) -> SupremumEstimate:
     """Searched lower bound on the half-line mean-ratio supremum.
 
-    A table gets the exhaustive knot-pair scan and polish.  Monotone
-    analytic inputs use the one-dimensional origin-anchored family; a
-    use_reduction=False override forces the two-dimensional search, which
-    exists mostly so the reduction itself can be cross-checked.
+    A table gets the exhaustive knot-pair scan and polish, which uses
+    neither cfg nor use_reduction: both are accepted for a table and have
+    no effect.  Monotone analytic inputs use the one-dimensional
+    origin-anchored family; a use_reduction=False override forces the
+    two-dimensional search, which exists mostly so the reduction itself
+    can be cross-checked.
     """
     cfg = cfg or SearchConfig()
     _check_input(f, pair)
@@ -391,10 +476,10 @@ def estimate_halfline(
     wseeds = np.linspace(math.log(_SCALE_MIN), math.log(_SCALE_MAX), n)
 
     if use_reduction and f.monotonicity is not Monotonicity.UNKNOWN:
-        return SupremumEstimate(*_search(f, pair, anchored, [wseeds]))
+        return _best(f, pair, _search(f, pair, anchored, [[wseeds]]))
 
     # Full 2-D search over (start, width).
-    return SupremumEstimate(*_search(f, pair, window, [starts, wseeds]))
+    return _best(f, pair, _search(f, pair, window, [[starts, wseeds]]))
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +528,9 @@ def estimate_extension(
 
     eps_seeds = _eps_seeds(cfg.interval_grid)
     if isinstance(f, PowerLaw):
-        return SupremumEstimate(*_search(extended, pair, straddle, [eps_seeds]))
+        return _best(extended, pair, _search(extended, pair, straddle, [[eps_seeds]]))
     bseeds = np.linspace(math.log(_SCALE_MIN), math.log(_SCALE_MAX), cfg.interval_grid)
-    return SupremumEstimate(*_search(extended, pair, straddle, [eps_seeds, bseeds]))
+    return _best(extended, pair, _search(extended, pair, straddle, [[eps_seeds, bseeds]]))
 
 
 def extension_ratio(

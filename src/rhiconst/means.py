@@ -736,7 +736,9 @@ def _means(f: FunctionSpec, lo, hi, order: float, tol: float, tighten: bool, max
 
     if isinstance(base, SampledTable):
         # One piece per window that is left: tables have no origin piece.
-        keep = np.array([i not in errors for i in owner.tolist()], dtype=bool)
+        dropped = np.zeros(n, dtype=bool)
+        dropped[list(errors)] = True
+        keep = ~dropped[owner]
         values = np.zeros(n)
         found, failed = _table_means(base, plo[keep], phi[keep], order)
         values[owner[keep]] = found

@@ -222,6 +222,55 @@ BUMPY_TABLE = SampledTable(
 )
 
 
+def _wavy_table(seed: int, n: int) -> SampledTable:
+    # A positive, non-monotone table of n knots on [0.5, 20.5]: a slow and
+    # a fast wave in log f plus a little noise, on a jittered uniform grid.
+    rng = np.random.default_rng(seed)
+    t = (np.arange(n) + 0.5 + 0.8 * (rng.uniform(size=n) - 0.5)) / n
+    t[0], t[-1] = 0.0, 1.0
+    logf = (
+        0.6 * np.sin(2 * np.pi * 2.0 * t + rng.uniform(0, 6))
+        + 0.25 * np.sin(2 * np.pi * 7.0 * t + rng.uniform(0, 6))
+        + 0.05 * rng.standard_normal(n)
+    )
+    return SampledTable(0.5 + 20.0 * t, np.exp(logf - 0.5))
+
+
+@pytest.mark.parametrize(
+    "table, pair, expected",
+    [
+        (
+            BUMPY_TABLE,
+            ExponentPair(-1.0, 1.0),
+            (1.178919137212659, 3.5, 8.0, 1273, True),
+        ),
+        (
+            _wavy_table(1, 60),
+            ExponentPair(1.0, 2.0),
+            (1.1419674193381684, 4.434372621832104, 10.315462922955097, 4038, True),
+        ),
+        (
+            _wavy_table(2, 180),
+            ExponentPair(-2.0, -1.0),
+            (1.139987257673437, 11.19549166742343, 16.862825434599966, 18540, True),
+        ),
+        (
+            _wavy_table(3, 360),
+            ExponentPair(-1.0, 1.0),
+            (1.3173049165629636, 3.4112588966115176, 9.347920145246809, 66969, True),
+        ),
+    ],
+    ids=["bumpy", "wavy-60-pos", "wavy-180-neg", "wavy-360-mixed"],
+)
+def test_table_searches_are_pinned(table, pair, expected):
+    # Exact results of the scan and polish.  Each table skips some of its
+    # best knot pairs by the settle rule, and a skipped pair must add
+    # neither its evaluations nor its witness.
+    est = estimate_halfline(table, pair)
+    got = (est.value, est.witness.lo, est.witness.hi, est.search_points, est.converged)
+    assert got == expected
+
+
 def _interior(iv: Interval, geometric: bool) -> bool:
     return iv.lo > 0.0 and (iv.hi / iv.lo > 10.0) == geometric
 
@@ -318,24 +367,130 @@ def test_search_scores_invalid_bounds_as_minus_inf(monkeypatch):
     grids = []
     refine = generic._grid_refine
 
-    def recording(score, seeds, rtol):
+    def recording(score, boxes, rtol):
         def scored(points):
             got = score(points)
             grids.append((points, got))
             return got
 
-        return refine(scored, seeds, rtol)
+        return refine(scored, boxes, rtol)
 
     monkeypatch.setattr(generic, "_grid_refine", recording)
-    masked = generic._search(BUMPY_TABLE, pair, _masked_family, [seeds])
+    [masked] = generic._search(BUMPY_TABLE, pair, _masked_family, [[seeds]])
     points, got = grids[0]
     bad = np.isin(points[:, 0], list(BAD_BOUNDS))
     assert bad.sum() == len(BAD_BOUNDS)
     assert np.isneginf(got[bad]).all() and np.isfinite(got[~bad]).all()
-    plain = generic._search(BUMPY_TABLE, pair, _masked_family, [valid])
+    [plain] = generic._search(BUMPY_TABLE, pair, _masked_family, [[valid]])
     # Same value, witness and refinement; only the four bad seeds more.
     assert masked[:2] == plain[:2]
     assert masked[2] == plain[2] + len(BAD_BOUNDS)
+
+
+def _peaked(points):
+    # Flat at 3 left of 0, a peak off every stencil at (3.3, 7.1) on [0, 10]
+    # and no interval at all right of 100.
+    x, y = points[:, 0], points[:, 1]
+    peak = 1.0 + 1.0 / (1.0 + (x - 3.3) ** 2 + 4.0 * (y - 7.1) ** 2)
+    return np.where(x < 0.0, 3.0, np.where(x > 100.0, -math.inf, peak))
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, NumericError) or isinstance(b, NumericError):
+        return type(a) is type(b) and str(a) == str(b)
+    return a == b
+
+
+def test_lockstep_searches_equal_each_search_alone():
+    boxes = [
+        [np.linspace(-5.0, -1.0, 9), np.linspace(0.0, 1.0, 9)],
+        [np.linspace(0.0, 10.0, 9), np.linspace(0.0, 10.0, 7)],
+        [np.linspace(101.0, 200.0, 4), np.linspace(0.0, 1.0, 3)],
+        [np.linspace(0.0, 2.0, 5), np.linspace(8.0, 10.0, 5)],
+    ]
+    batch = generic._grid_refine(_peaked, boxes, 1e-12)
+    alone = [generic._grid_refine(_peaked, [box], 1e-12)[0] for box in boxes]
+    assert all(_same(a, b) for a, b in zip(batch, alone))
+    flat, peak, none, edge = batch
+    # The flat box gains nothing in its first round; the peak keeps refining.
+    assert flat[2:] == (81 + 81, True)
+    assert peak[2] > 63 + 3 * 81
+    assert isinstance(none, NumericError)
+    assert edge[0] == (2.0, 8.0)
+
+
+def test_table_polishes_in_one_batch_equal_each_polish_alone():
+    # Boxes at both table ends (5 seeds per axis), inner boxes (9 seeds)
+    # and a box whose windows are all reversed, so every seed scores -inf.
+    pair = ExponentPair(-1.0, 1.0)
+    xs = BUMPY_TABLE.xs
+    boxes = [
+        [generic._knot_seeds(xs, i), generic._knot_seeds(xs, j)]
+        for i, j in [(0, 5), (1, 3), (4, 1), (2, 4), (0, 1)]
+    ]
+
+    def identity(p):
+        return p[:, 0], p[:, 1]
+
+    rtol = generic._POLISH_RTOL
+    batch = generic._search(BUMPY_TABLE, pair, identity, boxes, rtol)
+    alone = [generic._search(BUMPY_TABLE, pair, identity, [box], rtol)[0] for box in boxes]
+    assert all(_same(a, b) for a, b in zip(batch, alone))
+    assert [isinstance(r, NumericError) for r in batch] == [False, False, True, False, False]
+    assert batch[0][1] == Interval(0.1, 8.0)
+
+
+def test_table_search_scores_one_pass_per_round(monkeypatch):
+    sizes = []
+    scored = generic._scored_ratios
+
+    def recording(f, lo, hi, pair, tol, levels):
+        sizes.append(len(lo))
+        return scored(f, lo, hi, pair, tol, levels)
+
+    monkeypatch.setattr(generic, "_scored_ratios", recording)
+    estimate_halfline(_wavy_table(3, 360), ExponentPair(-1.0, 1.0))
+    # The seed grids, at most _REFINE_ROUNDS rounds, then the re-score.
+    assert 3 <= len(sizes) <= generic._REFINE_ROUNDS + 2
+    assert sizes[0] > generic._SCORE_SLICE
+    assert max(sizes) <= generic._POLISH_PAIRS * 81
+
+
+def _replay(monkeypatch, table, pair, planted):
+    # The table search with the polishes numbered in planted failing with a
+    # NumericError.  Returns the estimate, or the error it raised, and the
+    # numbers of the polishes the skip rule counted out of all polishes.
+    search, best = generic._search, generic._best
+    found, counted = [], []
+
+    def failing(*args):
+        found.extend(search(*args))
+        found[:] = [NumericError("planted") if k in planted else r for k, r in enumerate(found)]
+        return list(found)
+
+    def recording(f, pair, results, evals=0):
+        counted.extend(k for k, r in enumerate(found) if any(r is c for c in results))
+        return best(f, pair, results, evals)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(generic, "_search", failing)
+        patch.setattr(generic, "_best", recording)
+        try:
+            result = estimate_halfline(table, pair)
+        except NumericError as exc:
+            result = exc
+    return result, counted, len(found)
+
+
+def test_skipped_polish_adds_no_error(monkeypatch):
+    table, pair = _wavy_table(1, 60), ExponentPair(1.0, 2.0)
+    plain, counted, polished = _replay(monkeypatch, table, pair, set())
+    skipped = set(range(polished)) - set(counted)
+    assert skipped and isinstance(plain, SupremumEstimate)
+    again, _, _ = _replay(monkeypatch, table, pair, skipped)
+    assert again == plain
+    failed, _, _ = _replay(monkeypatch, table, pair, {counted[-1]})
+    assert isinstance(failed, NumericError) and str(failed) == "planted"
 
 
 def test_table_extension_is_rejected():
