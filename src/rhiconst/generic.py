@@ -71,10 +71,12 @@ __all__ = [
 _EPS_TAIL_FLOOR = 1e-6
 
 # Most points scored by one batched quadrature pass.  A pass holds some
-# state per interval, so this bounds memory whatever the grid size.  A
-# table pass holds O(1) state per window and is not sliced: a round of
-# the table polish scores at most _POLISH_PAIRS * 81 windows.
-_SCORE_SLICE = 256
+# state per interval and order (both means of a ratio are taken in one
+# pass), so this bounds memory whatever the grid size; its integrand
+# calls are bounded by means._NODE_BUDGET on their own.  A table pass
+# holds O(1) state per window and is not sliced: a round of the table
+# polish scores at most _POLISH_PAIRS * 81 windows.
+_SCORE_SLICE = 512
 
 # Most knot pairs held at once by the exhaustive table scan.
 _SCAN_BLOCK = 1 << 14

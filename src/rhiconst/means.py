@@ -34,27 +34,37 @@ cells next to 0 only; a feature farther right is never refined.  Inputs
 never get evaluated at panel edges, only at interior Gauss nodes, so an
 endpoint blowup of f itself is harmless.
 
-A pass computes the means of one order over a batch of intervals: all
-intervals advance a level together, and the pieces of the intervals still
-refining are integrated in rectangular blocks of one rule and cell count
-(origin-anchored pieces share their u-mesh and differ only in scale).
-Equal pieces in a pass are integrated once per level, while any interval
-owning them still refines, and the integral is handed to each owner; the
-straddles (-eps*b, b) of one b all share (0, b).  A block is cut into
-chunks of at most _NODE_BUDGET new nodes per integrand call, which bounds
-memory whatever the batch size.  Each piece is summed on its own (an
-origin-anchored piece sums each cell's nodes, then its cell sums in cell
-order, so its integral depends only on its right end, the level, the
-order and the exponent s), an interval's pieces are added in order, and
-each interval keeps the scalar convergence test, so a mean does not
-depend on the batch it is in; quad_mean and mean_ratio are batches of
-one, mean_ratios scores many intervals at once.  A ratio runs
-the beta pass first and the alpha pass only on the intervals whose beta
-mean exists.  mean_ratio asks each mean for tol/3 and, for a mean below
-1, for tol/3 times that mean: such a mean continues from the level it
-reached under the tighter test instead of starting over, which ends at
-the same level with the same value, because a tighter test cannot pass
-earlier.
+A pass computes the means of one or more orders over a batch of
+intervals: it splits and de-duplicates the pieces once, all intervals
+advance a level together with every order, and the pieces of the
+intervals still refining are integrated in rectangular blocks of one rule
+and cell count (origin-anchored pieces share their u-mesh and differ only
+in scale).  Equal pieces are integrated once per level and order, while
+any interval owning them still refines that order, and the integral is
+handed to each owner; the straddles (-eps*b, b) of one b all share
+(0, b).  A block is cut into chunks of at most _NODE_BUDGET new nodes per
+integrand call, which bounds memory whatever the batch size.  Orders with
+the same substitution exponent p build each chunk's nodes once; when the
+input's f**r is the default power of f.evaluate (AffinePower, ExpDecay),
+they also evaluate f there once and raise it to each order.  Otherwise
+(PowerLaw folds its exponents) each order calls power_values on chunks of
+its own pieces.  Each piece is summed on its own (an origin-anchored
+piece sums each cell's nodes, then its cell sums in cell order, so its
+integral depends only on its right end, the level, the order and the
+exponent s), an interval's pieces are added in order, and each interval
+keeps the scalar convergence test for each order, so a mean depends
+neither on the batch it is in nor on the other orders of its pass;
+quad_mean and mean_ratio are batches of one, mean_ratios scores many
+intervals at once.
+
+A ratio takes both means in one pass, the beta mean leading.  An
+interval's alpha mean is integrated beside its beta mean at every level
+up to the one where the beta mean fails, if it does, and at none after
+it; the ratio then fails with the beta mean's error.  mean_ratio asks
+each mean for tol/3 and, for a mean below 1, for tol/3 times that mean:
+such a mean continues from the level it reached under the tighter test
+instead of starting over, which ends at the same level with the same
+value, because a tighter test cannot pass earlier.
 
 Sampled tables are not integrated numerically.  The interpolant is linear
 between knots, so a window splits at every knot inside it and each
@@ -66,7 +76,9 @@ stretch of width h from value u to value v integrates in closed form,
 which stays exact as v -> u and at r = -1 (see _stretch_integrals).
 Each window adds its own stretches from its left end; no window integral
 is a difference of cumulative sums, which cancels catastrophically when
-the window's terms are small next to the ones before it.  Table means
+the window's terms are small next to the ones before it.  A pass finds
+the windows' stretches once for all its orders and takes only their
+terms per order.  Table means
 have no quadrature error, so tol and max_levels do not apply to them.
 
 0**r is treated as 0 for r > 0.  For r < 0 it is inadmissible and the
@@ -79,6 +91,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -425,24 +438,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _NODE_BUDGET = 1 << 14
 
 
-def _gl_weighted(fo, edges: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre on the cells of each row of ``edges``: the weighted
-    node values, shape (rows, cells, 16).  Nodes stay strictly interior.
-    """
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    # Deliberately quiet: an overflowing cell makes its row's total
-    # non-finite, which fails its interval with a clearer message than the
-    # warning.  divide fires when a deep exp tail underflows to 0 under a
-    # negative order and is handled the same way.  The products are taken
-    # in place so that few node-sized arrays are alive at once.
-    with np.errstate(over="ignore", divide="ignore"):
-        vals = fo((mid[:, :, None] + half[:, :, None] * _GL_NODES).ravel())
-        weighted = half[:, :, None] * _GL_WEIGHTS
-        weighted *= vals.reshape(weighted.shape)
-        return weighted
-
-
 def _substitution_exponent(s: float | None) -> float:
     # p turns x**s near 0 into u**(p*(s+1)-1); aim for at least quadratic
     # vanishing, cap p so transformed abscissae stay inside double range.
@@ -458,42 +453,6 @@ def _zero_edges(level: int) -> np.ndarray:
     return np.concatenate(([0.0], 2.0 ** -np.arange(10 + 4 * level, -1.0, -1.0)))
 
 
-def _zero_anchored_cells(fo, his: np.ndarray, s: float | None, edges: np.ndarray) -> np.ndarray:
-    """Integrals of f**order over the pieces (0, his[i]) restricted to the
-    u-cells of ``edges``, shape (rows, cells).
-
-    Each cell's 16 weighted nodes are summed on their own, so a cell's
-    integral depends only on its edges, the right end and s.
-    """
-    p = _substitution_exponent(s)
-    with np.errstate(over="ignore", divide="ignore"):
-        if p == 1.0:
-            weighted = _gl_weighted(fo, his[:, None] * edges)
-        else:
-            # x = hi * u**p: the u-mesh is shared, only the scale differs per row.
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-            weighted = (p * his)[:, None] * u ** (p - 1.0)
-            weighted *= fo((his[:, None] * u**p).ravel()).reshape(weighted.shape)
-            weighted *= (half[:, None] * _GL_WEIGHTS).ravel()
-        return np.sum(weighted.reshape(len(his), len(edges) - 1, 16), axis=2)
-
-
-def _zero_anchored_rows(
-    fo, his: np.ndarray, s: float | None, level: int, previous: np.ndarray
-) -> np.ndarray:
-    """Cell sums of the pieces (0, his[i]) at a level, from those of the level before.
-
-    A level splits the first cell of the one before into five and keeps
-    the others, so only the new cells next to 0 are integrated: the row
-    is [new cell sums | previous row without its first cell].  At level 0
-    all 11 cells are new and ``previous`` has no cells.
-    """
-    new = _zero_edges(level)[: _cells("zero", level) + 1]
-    return np.concatenate((_zero_anchored_cells(fo, his, s, new), previous[:, 1:]), axis=1)
-
-
 def _cells(kind: str, level: int) -> int:
     # Cells a piece integrates at a level: its whole mesh, except that an
     # origin-anchored piece only integrates the cells new next to 0.
@@ -502,16 +461,103 @@ def _cells(kind: str, level: int) -> int:
     return 16 << level
 
 
-def _piece_integrals(fo, kind: str, lo, hi, level: int) -> np.ndarray:
-    """Integrals over linear or geometric pieces (lo[i], hi[i]), one per row.
+class _Mesh(NamedTuple):
+    """What the pieces of one kind share at a level, whatever their ends.
 
-    Each row is summed over its own contiguous block, so its total does
-    not depend on the other rows.
+    Origin-anchored pieces share their u-mesh ``edges`` and, under x =
+    T * u**p with p != 1, its Gauss nodes' u**p and u**(p-1) and the
+    weights half * _GL_WEIGHTS.  Linear and geometric pieces share only
+    their cell count.
     """
-    space = np.geomspace if kind == "geo" else np.linspace
-    weighted = _gl_weighted(fo, space(lo, hi, _cells(kind, level) + 1, axis=1))
-    with np.errstate(over="ignore"):
-        return np.sum(weighted.reshape(len(lo), -1), axis=1)
+
+    kind: str
+    cells: int
+    p: float = 1.0
+    edges: np.ndarray | None = None
+    up: np.ndarray | None = None
+    up1: np.ndarray | None = None
+    hw: np.ndarray | None = None
+
+
+def _mesh(kind: str, level: int, p: float = 1.0, edges: np.ndarray | None = None) -> _Mesh:
+    """The mesh of the cells a piece of ``kind`` integrates at a level.
+
+    For origin-anchored pieces those are the cells new next to 0, or the
+    cells of ``edges`` when given.
+    """
+    if kind != "zero":
+        return _Mesh(kind, _cells(kind, level))
+    if edges is None:
+        edges = _zero_edges(level)[: _cells(kind, level) + 1]
+    if p == 1.0:
+        return _Mesh(kind, len(edges) - 1, p, edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    return _Mesh(
+        kind, len(edges) - 1, p, edges, u**p, u ** (p - 1.0), (half[:, None] * _GL_WEIGHTS).ravel()
+    )
+
+
+def _nodes(mesh: _Mesh, lo, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes of the pieces (lo[i], hi[i]) on a mesh, one row of
+    cells * 16 per piece, and per row what _weigh needs besides the mesh:
+    the nodes' Gauss weights, or the right ends under x = hi * u**p.
+
+    Nodes stay strictly interior.  An origin-anchored piece ignores lo.
+    """
+    if mesh.up is not None:
+        # x = hi * u**p: the u-mesh is shared, only the scale differs per row.
+        return hi[:, None] * mesh.up, hi
+    if mesh.kind == "zero":
+        edges = hi[:, None] * mesh.edges
+    else:
+        space = np.geomspace if mesh.kind == "geo" else np.linspace
+        edges = space(lo, hi, mesh.cells + 1, axis=1)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    rows = len(edges)
+    x = mid[:, :, None] + half[:, :, None] * _GL_NODES
+    return x.reshape(rows, -1), (half[:, :, None] * _GL_WEIGHTS).reshape(rows, -1)
+
+
+def _weigh(mesh: _Mesh, weights: np.ndarray, vals: np.ndarray, out=None) -> np.ndarray:
+    """Weighted node values from rows of what _nodes returns besides the
+    nodes and the f**order values at those nodes.
+
+    The products are taken in place so that few node-sized arrays are
+    alive at once: into out (vals, when the caller may overwrite it) with
+    Gauss weights, into a new array under x = hi * u**p.
+    """
+    if mesh.up is None:
+        return np.multiply(weights, vals, out=out)
+    weighted = (mesh.p * weights)[:, None] * mesh.up1
+    weighted *= vals
+    weighted *= mesh.hw
+    return weighted
+
+
+def _sums(mesh: _Mesh, weighted: np.ndarray) -> np.ndarray:
+    """Sums of each piece's weighted node values: per cell for an
+    origin-anchored piece, shape (rows, cells), so that a cell's integral
+    depends only on its edges, the right end and p; over the whole row for
+    any other piece.  Each row is summed over its own contiguous block, so
+    its sums do not depend on the other rows.
+    """
+    if mesh.kind == "zero":
+        return np.sum(weighted.reshape(len(weighted), mesh.cells, 16), axis=2)
+    return np.sum(weighted, axis=1)
+
+
+def _zero_anchored_rows(new: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Cell sums of origin-anchored pieces at a level, from those of the level before.
+
+    A level splits the first cell of the one before into five and keeps
+    the others, so only the new cells next to 0 are integrated: the row
+    is [new cell sums | previous row without its first cell].  At level 0
+    all 11 cells are new and ``previous`` has no cells.
+    """
+    return np.concatenate((new, previous[:, 1:]), axis=1)
 
 
 def _pieces(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray):
@@ -634,43 +680,71 @@ def _scaled_window_sums(table: SampledTable, lo: np.ndarray, hi: np.ndarray, ord
     return scales, np.bincount(w, weights=terms, minlength=len(lo))
 
 
-def _window_sums(table: SampledTable, lo: np.ndarray, hi: np.ndarray, order: float):
-    """(scales, sums): the integral of f**order over window i is
-    scales[i]**order * sums[i], exact up to rounding.
+class _Windows(NamedTuple):
+    """The stretches of table windows, which every order's sums share.
+
+    Stretch k runs over width h[k] from value u[k] to value v[k]: the
+    whole stretches between the windows' inner knots come first, then
+    every window's left end stretch, then every window's right end
+    stretch.  runs lists, per gap f0 where windows with two or more inner
+    knots start, (rows, start, stop, at): those windows' inner sums are
+    cumsum(terms[start:stop])[at].
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    h: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    runs: list
+
+
+def _windows(table: SampledTable, lo: np.ndarray, hi: np.ndarray) -> _Windows:
+    """The _Windows of the windows (lo[i], hi[i]), at least one, inside the data.
 
     A window is its left end stretch (lo to its first inner knot), the
     whole stretches between its inner knots and its right end stretch; a
-    window inside one gap is its left end stretch alone.  The whole
-    stretches are added by a cumulative sum that starts at the window's
-    first inner knot, shared by the windows that start in the same gap,
-    so every window sums positive terms from its own left end and none is
-    a difference of cumulative sums.  Terms use the table's scale; a
-    window whose sum is too small there to keep full precision is summed
-    again at its own scale.
+    window inside one gap is its left end stretch alone, and its right end
+    stretch has width 0.
     """
     xs, fs = table.xs, table.fs
-    n = len(lo)
-    scale = _table_scale(table, order)
     first = np.searchsorted(xs, lo, "right")
     last = np.searchsorted(xs, hi, "left") - 1
     wide = first <= last
     k0 = int(first.min())
     k1 = max(k0, int(last.max()))
     flo, fhi = np.interp(lo, xs, fs), np.interp(hi, xs, fs)
-    # The whole stretches k0..k1-1, then every window's left and right end
-    # stretch; the right end of a window inside one gap has width 0.
     x0 = np.concatenate((xs[k0:k1], lo, np.where(wide, xs[last], hi)))
     x1 = np.concatenate((xs[k0 + 1 : k1 + 1], np.where(wide, xs[first], hi), hi))
     u = np.concatenate((fs[k0:k1], flo, np.where(wide, fs[last], fhi)))
     v = np.concatenate((fs[k0 + 1 : k1 + 1], np.where(wide, fs[first], fhi), fhi))
-    with np.errstate(invalid="ignore"):  # an all-zero table scales to NaN
-        terms = _stretch_integrals(u / scale, v / scale, x1 - x0, order)
-    m = k1 - k0
-    inner = np.zeros(n)
+    runs = []
     for f0 in sorted(set(first[first < last].tolist())):
         rows = np.flatnonzero((first == f0) & (last > f0))
-        running = np.cumsum(terms[f0 - k0 : int(last[rows].max()) - k0])
-        inner[rows] = running[last[rows] - f0 - 1]
+        runs.append((rows, f0 - k0, int(last[rows].max()) - k0, last[rows] - f0 - 1))
+    return _Windows(lo, hi, x1 - x0, u, v, runs)
+
+
+def _window_sums(table: SampledTable, windows: _Windows, order: float):
+    """(scales, sums): the integral of f**order over window i is
+    scales[i]**order * sums[i], exact up to rounding.
+
+    The whole stretches are added by a cumulative sum that starts at the
+    window's first inner knot, shared by the windows that start in the
+    same gap, so every window sums positive terms from its own left end
+    and none is a difference of cumulative sums.  Terms use the table's
+    scale; a window whose sum is too small there to keep full precision
+    is summed again at its own scale.
+    """
+    lo, hi = windows.lo, windows.hi
+    n = len(lo)
+    m = len(windows.h) - 2 * n
+    scale = _table_scale(table, order)
+    with np.errstate(invalid="ignore"):  # an all-zero table scales to NaN
+        terms = _stretch_integrals(windows.u / scale, windows.v / scale, windows.h, order)
+    inner = np.zeros(n)
+    for rows, start, stop, at in windows.runs:
+        inner[rows] = np.cumsum(terms[start:stop])[at]
     sums = (terms[m : m + n] + inner) + terms[m + n :]
     scales = np.full(n, scale)
     # A sum this far below its width may have lost terms to underflow.
@@ -680,70 +754,178 @@ def _window_sums(table: SampledTable, lo: np.ndarray, hi: np.ndarray, order: flo
     return scales, sums
 
 
-def _table_means(table: SampledTable, lo: np.ndarray, hi: np.ndarray, order: float):
-    """Exact means of one order over table windows (lo[i], hi[i]).
+def _table_means(table: SampledTable, lo: np.ndarray, hi: np.ndarray, orders):
+    """Exact means of each order over table windows (lo[i], hi[i]).
 
-    Every window lies inside the data.  Returns (values, errors) like
-    _means.  numpy's elementwise functions give each element the same bits
+    Every window lies inside the data.  Returns (values, errors) per
+    order, like _means.  The windows' geometry is built once for all
+    orders.  numpy's elementwise functions give each element the same bits
     whatever the array length, so a mean does not depend on the batch it
     is in.
     """
     if not len(lo):
-        return np.zeros(0), {}
-    scales, sums = _window_sums(table, lo, hi, order)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        exponent = np.log(sums / (hi - lo)) / order
-        log_mean = np.log(scales) + exponent
-        values = np.where(
-            np.abs(exponent) < 700.0, scales * np.exp(exponent), np.exp(log_mean)
+        return [(np.zeros(0), {}) for _ in orders]
+    windows = _windows(table, lo, hi)
+    found = []
+    for order in orders:
+        scales, sums = _window_sums(table, windows, order)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            exponent = np.log(sums / (hi - lo)) / order
+            log_mean = np.log(scales) + exponent
+            values = np.where(
+                np.abs(exponent) < 700.0, scales * np.exp(exponent), np.exp(log_mean)
+            )
+        undefined = ~((scales > 0.0) & (sums > 0.0))
+        errors = dict.fromkeys(
+            np.flatnonzero(undefined).tolist(),
+            DomainError("mean undefined: integral of f**order is not positive"),
         )
-    undefined = ~((scales > 0.0) & (sums > 0.0))
-    errors = dict.fromkeys(
-        np.flatnonzero(undefined).tolist(),
-        DomainError("mean undefined: integral of f**order is not positive"),
-    )
-    for failed, exc in (
-        (log_mean > 700.0, NumericError("mean overflows double range")),
-        (log_mean < -700.0, NumericError("mean underflows double range")),
-    ):
-        errors.update(dict.fromkeys(np.flatnonzero(failed & ~undefined).tolist(), exc))
-    return values, errors
+        for failed, exc in (
+            (log_mean > 700.0, NumericError("mean overflows double range")),
+            (log_mean < -700.0, NumericError("mean underflows double range")),
+        ):
+            errors.update(dict.fromkeys(np.flatnonzero(failed & ~undefined).tolist(), exc))
+        found.append((values, errors))
+    return found
 
 
-def _means(f: FunctionSpec, lo, hi, order: float, tol: float, tighten: bool, max_levels: int):
-    """Adaptive means of one order over every interval (lo[i], hi[i]) at once.
+class _Order:
+    """One order's state in a pass: per interval its tolerance, last value
+    and whether it still refines, and the cell sums its origin-anchored
+    pieces keep from their last level (zq lists those pieces, in the order
+    of zcells' rows).
+    """
+
+    def __init__(self, base: FunctionSpec, order: float, n: int, tol, tighten, errors, zq) -> None:
+        self.order = order
+        self.p = _substitution_exponent(base.zero_power_exponent(order))
+        self.errors = errors
+        self.tols = np.full(n, tol)
+        self.loose = np.full(n, tighten)
+        self.values, self.diffs = np.zeros(n), np.zeros(n)
+        self.previous = np.full(n, math.nan)  # NaN until an interval has a level
+        self.failed = np.zeros(n, dtype=bool)
+        self.failed[list(errors)] = True
+        self.active = ~self.failed
+        self.zq, self.zcells = zq, np.zeros((len(zq), 0))
+        # Per level: the distinct pieces needed, their integrals, and the
+        # next level's zcells with how many of its rows are filled.
+        self.needed = self.distinct = self.next = None
+        self.taken = 0
+
+    def keep(self, mesh: _Mesh, q: np.ndarray, rows, weighted: np.ndarray) -> None:
+        """Store the integrals of the distinct pieces q[rows] at this level
+        from their weighted node values; origin-anchored pieces arrive in
+        the order of zq.
+        """
+        sums = _sums(mesh, weighted)
+        if mesh.kind == "zero":
+            k = slice(self.taken, self.taken + len(sums))
+            self.taken += len(sums)
+            self.next[k] = _zero_anchored_rows(sums, self.zcells[k])
+        else:
+            self.distinct[q[rows]] = sums
+
+    def fail(self, failed: np.ndarray, exc: RhiError) -> None:
+        self.errors.update(dict.fromkeys(failed.tolist(), exc))
+        self.failed[failed] = True
+        self.active[failed] = False
+
+    def settle(self, owner: np.ndarray, integrals: np.ndarray, lengths: np.ndarray) -> None:
+        """Take a level's piece integrals and end the intervals that converge or fail."""
+        n = len(lengths)
+        # bincount adds each interval's pieces to 0 one at a time, in the
+        # order they are listed.
+        totals = np.bincount(owner, weights=integrals, minlength=n)
+        finite = np.ones(n, dtype=bool)
+        finite[owner[~np.isfinite(integrals)]] = False
+
+        act = np.flatnonzero(self.active)
+        total, ok = totals[act], finite[act]
+        self.fail(act[~ok], NumericError("integrand overflowed during quadrature"))
+        self.fail(
+            act[ok & (total <= 0.0)],
+            DomainError("mean undefined: integral of f**order is not positive"),
+        )
+        # Near the subnormal floor the panel sums carry almost no mantissa;
+        # a mean built from them looks plausible but is rounding noise, so
+        # refuse rather than return it.
+        self.fail(
+            act[ok & (total > 0.0) & (total < 1e-300)],
+            NumericError("integral of f**order underflows double range"),
+        )
+        good = ok & (total >= 1e-300)
+        act, total = act[good], total[good]
+        # math, not numpy: np.log and np.exp can differ from these in the
+        # last bit, which would move every reported value.
+        logs = [math.log(t) for t in (total / lengths[act]).tolist()]
+        exponent = np.array(logs) / self.order
+        self.fail(act[exponent > 700.0], NumericError("mean overflows double range"))
+        self.fail(act[exponent < -700.0], NumericError("mean underflows double range"))
+        inside = np.abs(exponent) <= 700.0
+        act, exponent = act[inside], exponent[inside]
+        value = np.array([math.exp(e) for e in exponent.tolist()])
+        diff = np.abs(value - self.previous[act])  # NaN, so never converged, at level 0
+        scale = 1.0 + np.abs(value)
+        tols = self.tols
+        tightened = (diff <= tols[act] * scale) & self.loose[act] & (value < 1.0)
+        t = act[tightened]
+        self.loose[t] = False
+        tols[t] *= value[tightened]
+        self.fail(t[~(tols[t] > 0.0)], DomainError("tolerance must lie in (0, 1)"))
+        done = (diff <= tols[act] * scale) & self.active[act]
+        self.values[act[done]], self.diffs[act[done]] = value[done], diff[done]
+        self.active[act[done]] = False
+        self.previous[act] = value
+
+
+def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool, max_levels: int):
+    """Adaptive means of each order in orders over every interval (lo[i], hi[i]) at once.
 
     Every interval refines level by level until two successive levels
-    agree to tol * (1 + |value|).  With tighten, an interval whose mean
-    converges below 1 has its tolerance scaled by that mean and continues
-    from the level it reached; the tighter test cannot pass at an earlier
-    level, so it ends where a restart from level 0 would.
+    agree to tol * (1 + |value|), each order on its own.  With tighten, an
+    interval whose mean converges below 1 has its tolerance scaled by that
+    mean and continues from the level it reached; the tighter test cannot
+    pass at an earlier level, so it ends where a restart from level 0
+    would.  The first order leads: from the level after its mean of an
+    interval fails, the other orders do no more work on that interval.
 
-    Returns (values, diffs, errors): per-interval means and last-level
-    differences, and the RhiError each failed interval would raise.
+    Returns, per order, (values, diffs, errors): per-interval means and
+    last-level differences, and the RhiError each failed interval would
+    raise.
     """
     base = f.base if isinstance(f, EvenExtensionView) else f
     n = len(lo)
-    owner, plo, phi, errors = _pieces(f, lo, hi)
-    s = base.zero_power_exponent(order)
-    if s is not None and s <= -1.0:
-        exc = DomainError(f"f**{order:g} behaves like x**{s:g} at 0 and is not summable")
-        for i in owner[plo == 0.0].tolist():
-            errors.setdefault(i, exc)
-    if order < 0.0 and not base.strictly_positive:
-        exc = DomainError("negative-order mean of a table containing zero values")
-        errors.update((i, exc) for i in range(n) if i not in errors)
+    owner, plo, phi, found = _pieces(f, lo, hi)
+
+    def initial_errors(order: float) -> dict[int, RhiError]:
+        errors = dict(found)
+        s = base.zero_power_exponent(order)
+        if s is not None and s <= -1.0:
+            exc = DomainError(f"f**{order:g} behaves like x**{s:g} at 0 and is not summable")
+            for i in owner[plo == 0.0].tolist():
+                errors.setdefault(i, exc)
+        if order < 0.0 and not base.strictly_positive:
+            exc = DomainError("negative-order mean of a table containing zero values")
+            errors.update((i, exc) for i in range(n) if i not in errors)
+        return errors
 
     if isinstance(base, SampledTable):
         # One piece per window that is left: tables have no origin piece.
+        # The orders share the windows' geometry; a table order fails on
+        # every window before its means are taken or on none.
         dropped = np.zeros(n, dtype=bool)
-        dropped[list(errors)] = True
+        dropped[list(found)] = True
         keep = ~dropped[owner]
-        values = np.zeros(n)
-        found, failed = _table_means(base, plo[keep], phi[keep], order)
-        values[owner[keep]] = found
-        errors.update((int(owner[keep][i]), exc) for i, exc in failed.items())
-        return values, np.zeros(n), errors
+        results = [(np.zeros(n), np.zeros(n), initial_errors(order)) for order in orders]
+        live = [k for k, (_, _, errors) in enumerate(results) if len(errors) < n]
+        means = _table_means(base, plo[keep], phi[keep], [orders[k] for k in live])
+        for k, (got, failed) in zip(live, means):
+            values, _, errors = results[k]
+            values[owner[keep]] = got
+            for i, exc in failed.items():
+                errors.setdefault(int(owner[keep][i]), exc)
+        return results
 
     # Equal pieces are integrated once: piece q's integral is that of
     # distinct piece uid[q].  lexsort sorts -0.0 with 0.0, and both start
@@ -757,106 +939,98 @@ def _means(f: FunctionSpec, lo, hi, order: float, tol: float, tighten: bool, max
     ulo, uhi = ulo[new], uhi[new]
 
     # Pieces with the same rule and cell count form one rectangular block.
-    # Origin-anchored pieces keep the cell sums of their last level: zq
-    # lists those still needed, in the order of zcells' rows.
     zero = ulo == 0.0
     with np.errstate(divide="ignore"):
         geometric = ~zero & (uhi / ulo > 10.0)
-    masks = {"geo": geometric, "lin": ~zero & ~geometric}
+    masks = {"zero": zero, "geo": geometric, "lin": ~zero & ~geometric}
     blocks = {kind: np.flatnonzero(m) for kind, m in masks.items() if m.any()}
-    zq = np.flatnonzero(zero)
-    zcells = np.zeros((len(zq), 0))
-
+    zq = blocks.get("zero", np.zeros(0, dtype=np.intp))
+    passes = [
+        _Order(base, order, n, tol, tighten, initial_errors(order), zq)
+        for order in orders
+    ]
+    lead = passes[0]
     lengths = hi - lo
-    tols = np.full(n, tol)
-    loose = np.full(n, tighten)
-    values, diffs = np.zeros(n), np.zeros(n)
-    previous = np.full(n, math.nan)  # NaN until an interval has a level
-    active = np.ones(n, dtype=bool)
-    active[list(errors)] = False
-
-    def fo(x: np.ndarray) -> np.ndarray:
-        return base.power_values(x, order)
-
-    def fail(failed: np.ndarray, exc: RhiError) -> None:
-        errors.update(dict.fromkeys(failed.tolist(), exc))
-        active[failed] = False
+    # Orders whose f**order is the default power of evaluate share one
+    # evaluation of f at their shared nodes.
+    shared = type(base).power_values is FunctionSpec.power_values
 
     for level in range(max_levels):
-        if not active.any():
+        for o in passes[1:]:
+            o.active &= ~lead.failed
+        live = [o for o in passes if o.active.any()]
+        if not live:
             break
-        # A distinct piece is needed while any interval owning it refines.
-        needed = np.zeros(len(ulo), dtype=bool)
-        needed[uid[active[owner]]] = True
-        distinct = np.zeros(len(ulo))
-        keep = needed[zq]
-        zq, zcells = zq[keep], zcells[keep]
-        if len(zq):
-            step = max(1, _NODE_BUDGET // (16 * _cells("zero", level)))
-            chunks = [
-                _zero_anchored_rows(fo, uhi[zq[i : i + step]], s, level, zcells[i : i + step])
-                for i in range(0, len(zq), step)
-            ]
-            zcells = np.concatenate(chunks)
-            with np.errstate(over="ignore"):
-                distinct[zq] = np.sum(zcells, axis=1)
+        for o in live:
+            # A distinct piece is needed while any interval owning it refines.
+            o.needed = np.zeros(len(ulo), dtype=bool)
+            o.needed[uid[o.active[owner]]] = True
+            o.distinct = np.zeros(len(ulo))
+            keep = o.needed[o.zq]
+            o.zq, o.zcells, o.taken = o.zq[keep], o.zcells[keep], 0
+            cells = _cells("zero", level) + max(o.zcells.shape[1] - 1, 0)
+            o.next = np.empty((len(o.zq), cells))
         for kind, qs in blocks.items():
-            qs = qs[needed[qs]]
-            step = max(1, _NODE_BUDGET // (16 * _cells(kind, level)))
-            for start in range(0, len(qs), step):
-                q = qs[start : start + step]
-                distinct[q] = _piece_integrals(fo, kind, ulo[q], uhi[q], level)
-        integrals = distinct[uid]
+            # Orders with the same substitution exponent share their nodes.
+            by_p: dict[float, list[_Order]] = {}
+            for o in live:
+                by_p.setdefault(o.p if kind == "zero" else 1.0, []).append(o)
+            for p, same in by_p.items():
+                mesh = _mesh(kind, level, p)
+                for group in [same] if shared else [[o] for o in same]:
+                    _integrate(base, mesh, qs, ulo, uhi, group)
+        for o in live:
+            if len(o.zq):
+                o.zcells = o.next
+                with np.errstate(over="ignore"):
+                    o.distinct[o.zq] = np.sum(o.zcells, axis=1)
+            o.settle(owner, o.distinct[uid], lengths)
 
-        # bincount adds each interval's pieces to 0 one at a time, in the
-        # order they are listed.
-        totals = np.bincount(owner, weights=integrals, minlength=n)
-        finite = np.ones(n, dtype=bool)
-        finite[owner[~np.isfinite(integrals)]] = False
+    for o in passes:
+        for i in np.flatnonzero(o.active).tolist():
+            o.errors[i] = QuadratureError(
+                f"mean of order {o.order:g} over ({lo[i]:g}, {hi[i]:g})"
+                f" did not reach tol={o.tols[i]:g} within {max_levels} refinement levels"
+            )
+    return [(o.values, o.diffs, o.errors) for o in passes]
 
-        act = np.flatnonzero(active)
-        total, ok = totals[act], finite[act]
-        fail(act[~ok], NumericError("integrand overflowed during quadrature"))
-        fail(
-            act[ok & (total <= 0.0)],
-            DomainError("mean undefined: integral of f**order is not positive"),
-        )
-        # Near the subnormal floor the panel sums carry almost no mantissa;
-        # a mean built from them looks plausible but is rounding noise, so
-        # refuse rather than return it.
-        fail(
-            act[ok & (total > 0.0) & (total < 1e-300)],
-            NumericError("integral of f**order underflows double range"),
-        )
-        good = ok & (total >= 1e-300)
-        act, total = act[good], total[good]
-        # math, not numpy: np.log and np.exp can differ from these in the
-        # last bit, which would move every reported value.
-        logs = [math.log(t) for t in (total / lengths[act]).tolist()]
-        exponent = np.array(logs) / order
-        fail(act[exponent > 700.0], NumericError("mean overflows double range"))
-        fail(act[exponent < -700.0], NumericError("mean underflows double range"))
-        inside = np.abs(exponent) <= 700.0
-        act, exponent = act[inside], exponent[inside]
-        value = np.array([math.exp(e) for e in exponent.tolist()])
-        diff = np.abs(value - previous[act])  # NaN, so never converged, at level 0
-        scale = 1.0 + np.abs(value)
-        tightened = (diff <= tols[act] * scale) & loose[act] & (value < 1.0)
-        t = act[tightened]
-        loose[t] = False
-        tols[t] *= value[tightened]
-        fail(t[~(tols[t] > 0.0)], DomainError("tolerance must lie in (0, 1)"))
-        done = (diff <= tols[act] * scale) & active[act]
-        values[act[done]], diffs[act[done]] = value[done], diff[done]
-        active[act[done]] = False
-        previous[act] = value
 
-    for i in np.flatnonzero(active).tolist():
-        errors[i] = QuadratureError(
-            f"mean of order {order:g} over ({lo[i]:g}, {hi[i]:g})"
-            f" did not reach tol={tols[i]:g} within {max_levels} refinement levels"
-        )
-    return values, diffs, errors
+def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group) -> None:
+    """One level of the pieces qs on a mesh for a group of orders.
+
+    A piece is integrated for an order only while that order needs it.
+    The pieces any order of the group needs are cut into chunks of at
+    most _NODE_BUDGET nodes.  A chunk builds its nodes once; an order
+    alone calls f.power_values on its rows, several orders share one
+    f.evaluate and each raises its rows to its own power.
+    """
+    need = group[0].needed if len(group) == 1 else np.any([o.needed for o in group], axis=0)
+    qs = qs[need[qs]]
+    step = max(1, _NODE_BUDGET // (16 * mesh.cells))
+    # Deliberately quiet: an overflowing cell makes its row's total
+    # non-finite, which fails its interval with a clearer message than the
+    # warning.  divide fires when a deep exp tail underflows to 0 under a
+    # negative order and is handled the same way.
+    with np.errstate(over="ignore", divide="ignore"):
+        for start in range(0, len(qs), step):
+            q = qs[start : start + step]
+            x, weights = _nodes(mesh, ulo[q], uhi[q])
+            if len(group) == 1:
+                [o] = group
+                vals = base.power_values(x.ravel(), o.order).reshape(x.shape)
+                del x
+                o.keep(mesh, q, slice(None), _weigh(mesh, weights, vals))
+                continue
+            fx = base.evaluate(x.ravel()).reshape(x.shape)
+            del x
+            for o in group:
+                rows = o.needed[q]
+                if rows.all():
+                    rows = slice(None)
+                elif not rows.any():
+                    continue
+                vals = np.power(fx[rows], o.order)
+                o.keep(mesh, q, rows, _weigh(mesh, weights[rows], vals, out=vals))
 
 
 def _bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
@@ -887,25 +1061,32 @@ def quad_mean(
         raise DomainError("mean order must be nonzero and finite")
     if not (0.0 < tol < 1.0):
         raise DomainError("tolerance must lie in (0, 1)")
-    values, diffs, errors = _means(f, *_bounds([interval]), order, tol, False, max_levels)
+    [(values, diffs, errors)] = _means(f, *_bounds([interval]), (order,), tol, False, max_levels)
     if errors:
         raise errors[0]
     return MeanValue(float(values[0]), order, interval, float(diffs[0]))
 
 
 def _ratios(f, lo, hi, pair, tol, max_levels) -> tuple[np.ndarray, dict[int, RhiError]]:
+    """M_beta / M_alpha over intervals (lo[i], hi[i]), -inf where it fails,
+    and the RhiError of each failed interval.
+
+    One pass takes both means, the beta mean leading.  Alpha work on an
+    interval is done while its alpha mean refines and its beta mean has
+    not failed at an earlier level: an interval whose beta mean fails at
+    a level gets alpha work up to that level and none after, and fails
+    with the beta mean's error.  Any other interval fails with its alpha
+    mean's error, if it has one.
+    """
     if not (0.0 < tol < 1.0):
         raise DomainError("tolerance must lie in (0, 1)")
-    # The beta mean comes first: an interval fails with the beta mean's
-    # error when it has one, and only the others get an alpha pass.
-    ratios, _, errors = _means(f, lo, hi, pair.beta, tol / 3.0, True, max_levels)
-    live = np.ones(len(lo), dtype=bool)
-    live[list(errors)] = False
-    rest = np.flatnonzero(live)
-    alpha, _, failed = _means(f, lo[rest], hi[rest], pair.alpha, tol / 3.0, True, max_levels)
-    errors.update((int(rest[i]), exc) for i, exc in failed.items())
+    (beta, _, errors), (alpha, _, failed) = _means(
+        f, lo, hi, (pair.beta, pair.alpha), tol / 3.0, True, max_levels
+    )
+    for i, exc in failed.items():
+        errors.setdefault(i, exc)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios[rest] /= alpha
+        ratios = beta / alpha
     ratios[list(errors)] = -math.inf
     return ratios, errors
 

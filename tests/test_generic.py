@@ -1,6 +1,7 @@
 """Supremum searches for arbitrary functions and the growth-ratio pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,20 @@ def test_default_searches_are_pinned(search, expected):
     est = search()
     got = (est.value, est.witness.lo, est.witness.hi, est.search_points, est.converged)
     assert got == expected
+
+
+def test_default_extension_search_memory_is_bounded():
+    # A pass takes both means of _SCORE_SLICE intervals at once, and each of
+    # its integrand calls holds at most means._NODE_BUDGET nodes.
+    f, pair = AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0)
+    estimate_extension(f, pair)
+    tracemalloc.start()
+    try:
+        estimate_extension(f, pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # A non-monotone table small enough that its polishes score windows inside

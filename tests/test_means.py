@@ -175,19 +175,28 @@ class RecordingDecay(CountingDecay):
 
 
 def test_beta_mean_is_evaluated_first():
-    # The order-2 mean of exp(-x) over (368, 1368) underflows.  That
-    # interval fails with the beta mean's error and gets no alpha pass.
+    # The order-2 mean of exp(-x) over (368, 1368) underflows at level 0.
+    # That interval fails with the beta mean's error, and its alpha mean,
+    # integrated beside the beta mean, gets no work after level 0.
     pair = ExponentPair(1.0, 2.0)
     batch = [Interval(368.0, 1368.0), Interval(0.0, 1.0)]
     f, alone = RecordingDecay(), RecordingDecay()
     got = mean_ratios(f, batch, pair)
     assert got[0] == -math.inf and math.isfinite(got[1])
     with pytest.raises(NumericError, match=r"integral of f\*\*order underflows"):
-        mean_ratio(f, batch[0], pair)
-    mean_ratios(alone, batch[1:], pair)
-    batch_nodes, alone_nodes = f.nodes[pair.alpha], alone.nodes[pair.alpha]
-    assert len(batch_nodes) == len(alone_nodes)
-    assert all(np.array_equal(a, b) for a, b in zip(batch_nodes, alone_nodes))
+        mean_ratio(RecordingDecay(), batch[0], pair)
+    assert got[1:].tolist() == mean_ratios(alone, batch[1:], pair).tolist()
+    # Both means of the other interval keep their bits.
+    orders, tol = (pair.beta, pair.alpha), 1e-9 / 3.0
+    with_failing = means._means(RecordingDecay(), *means._bounds(batch), orders, tol, True, 12)
+    without = means._means(RecordingDecay(), *means._bounds(batch[1:]), orders, tol, True, 12)
+    for (values, diffs, _), (want, want_diffs, _) in zip(with_failing, without):
+        assert (values[1], diffs[1]) == (want[0], want_diffs[0])
+    # The failing interval is the only piece far from 0: its nodes are in
+    # one alpha call, of the 16 level-0 cells of its linear mesh.
+    failing = [x for x in f.nodes[pair.alpha] if np.any(x > 368.0)]
+    assert len(failing) == 1 and failing[0].size == 16 * 16
+    assert np.all(failing[0] > 368.0)
 
 
 class RecordingRoot(RecordingDecay):
@@ -273,12 +282,18 @@ def test_origin_anchored_level_from_the_last_equals_whole_mesh(s):
         smooth = np.exp(-x) + 1.0 / (1.0 + x * x)
         return smooth if s is None else x**s * smooth
 
+    p = means._substitution_exponent(s)
+
+    def cells(mesh):
+        x, weights = means._nodes(mesh, None, his)
+        return means._sums(mesh, means._weigh(mesh, weights, fo(x.ravel()).reshape(x.shape)))
+
     rows = np.zeros((len(his), 0))
     for level in range(7):
         sizes.clear()
-        rows = means._zero_anchored_rows(fo, his, s, level, rows)
+        rows = means._zero_anchored_rows(cells(means._mesh("zero", level, p)), rows)
         assert sizes == [len(his) * 16 * (11 if level == 0 else 5)]
-        whole = means._zero_anchored_cells(fo, his, s, means._zero_edges(level))
+        whole = cells(means._mesh("zero", level, p, means._zero_edges(level)))
         assert rows.shape == (len(his), 11 + 4 * level)
         assert rows.tolist() == whole.tolist()
         assert np.sum(rows, axis=1).tolist() == np.sum(whole, axis=1).tolist()
@@ -316,7 +331,7 @@ def test_table_windows_split_at_knots_and_integrate_exactly():
     for order in (1.0, 2.0):
         # The shared cumulative sums and the per-window split at the knots
         # (the fallback for tiny sums) give the same integrals.
-        scales, sums = means._window_sums(tbl, lo, hi, order)
+        scales, sums = means._window_sums(tbl, means._windows(tbl, lo, hi), order)
         again, again_sums = means._scaled_window_sums(tbl, lo, hi, order)
         assert np.allclose(scales**order * sums, again**order * again_sums, rtol=1e-14, atol=0.0)
         for a, b in windows:
@@ -440,6 +455,151 @@ def test_batches_across_chunk_boundaries_equal_scalar_calls():
         intervals = [Interval(0.0, b) for b in ends[:size]]
         got = mean_ratios(f, intervals, pair)
         assert got.tolist() == [mean_ratio(f, iv, pair) for iv in intervals]
+
+
+def _scalar_ratio(f, interval: Interval, pair: ExponentPair) -> float:
+    try:
+        return mean_ratio(f, interval, pair)
+    except (DomainError, NumericError, QuadratureError):
+        return -math.inf
+
+
+def _mixed_batch() -> list[Interval]:
+    # Straddles sharing b = 1.5, origin pieces (one of them the straddles'
+    # shared piece) and plain windows: linear, geometric and mirrored.
+    b = 1.5
+    straddles = [Interval(-eps * b, b) for eps in (0.01, 0.1, 0.5, 1.0)]
+    origin = [Interval(0.0, b), Interval(0.0, 0.3), Interval(0.0, 40.0)]
+    plain = [Interval(1.0, 3.0), Interval(0.02, 2.0), Interval(-3.0, -1.0), Interval(2.0, 2.5)]
+    return straddles + origin + plain
+
+
+@pytest.mark.parametrize(
+    "f, pair, shared, pinned",
+    [
+        (AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0), True, (1.0833886196051998, 1.0644984489928306)),
+        (AffinePower(1.0, -0.5, 0.5), ExponentPair(-2.0, -1.0), True, (1.0565713770532412, 1.0333412375901594)),
+        (AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0), False, (1.1439877893557489, 1.0738727002662218)),
+        (PowerLaw(1.5), ExponentPair(1.0, 2.0), False, (1.3069436902921092, 1.24374672763188)),
+        (ExpDecay(1.0), ExponentPair(1.0, 2.0), True, (1.0902818868320618, 1.1433145985143636)),
+    ],
+    ids=["affpow-p1", "affpow-p2", "affpow-p-differ", "pow-folded", "expdecay"],
+)
+def test_shared_pass_batches_equal_scalar_calls(f, pair, shared, pinned):
+    # One pass takes both means; whether the orders share nodes and f or
+    # not, a batch must score as scalar calls do.  The pinned ratios over
+    # (-0.15, 1.5) and (0.02, 2.0) are those of a beta pass followed by an
+    # alpha pass.
+    alpha, beta = (
+        means._substitution_exponent(f.zero_power_exponent(order))
+        for order in (pair.alpha, pair.beta)
+    )
+    assert (alpha == beta and not isinstance(f, PowerLaw)) == shared
+    ext, intervals = EvenExtensionView(f), _mixed_batch()
+    got = mean_ratios(ext, intervals, pair).tolist()
+    assert got == [_scalar_ratio(ext, iv, pair) for iv in intervals]
+    assert sum(map(math.isfinite, got)) >= len(intervals) - 3
+    ends = (Interval(-0.15, 1.5), Interval(0.02, 2.0))
+    assert tuple(mean_ratio(ext, iv, pair) for iv in ends) == pinned
+
+
+_WAVY_XS = np.linspace(1.0, 9.0, 41)
+
+
+@pytest.mark.parametrize(
+    "f, pair, intervals",
+    [
+        # The half-line 2-D family (start, width): linear and geometric pieces.
+        (
+            AffinePower(1.0, 1.0, 0.5),
+            ExponentPair(1.0, 2.0),
+            [Interval(a, a + w) for a in (1e-3, 0.05, 0.7, 3.0) for w in (0.01, 0.4, 2.0, 30.0)],
+        ),
+        # Table windows share their geometry between the orders.
+        (
+            SampledTable(_WAVY_XS, np.exp(0.6 * np.sin(_WAVY_XS) + 0.25 * np.sin(7.3 * _WAVY_XS) - 0.5)),
+            ExponentPair(-1.0, 1.0),
+            [Interval(a, a + w) for a in (1.0, 1.13, 4.2) for w in (0.05, 0.2, 1.0, 4.7)],
+        ),
+    ],
+    ids=["window-family", "table"],
+)
+def test_shared_pass_half_line_batches_equal_scalar_calls(f, pair, intervals):
+    got = mean_ratios(f, intervals, pair).tolist()
+    assert got == [mean_ratio(f, iv, pair) for iv in intervals]
+
+
+class EvaluateCounting(FunctionSpec):
+    """0.5 + sqrt(x) with the default f**order, recording each evaluate call's size."""
+
+    monotonicity = Monotonicity.INCREASING
+
+    def __init__(self) -> None:
+        self.sizes: list[int] = []
+
+    def evaluate(self, x):
+        self.sizes.append(x.size)
+        return 0.5 + np.sqrt(x)
+
+
+def _separate_passes(f, intervals, pair: ExponentPair) -> list[int]:
+    # The beta pass, then the alpha pass on the intervals whose beta mean
+    # exists: the evaluate calls of each.
+    lo, hi = means._bounds(intervals)
+    calls = []
+    f.sizes.clear()
+    [(_, _, errors)] = means._means(f, lo, hi, (pair.beta,), 1e-9 / 3.0, True, 12)
+    calls.append(len(f.sizes))
+    rest = np.array([i not in errors for i in range(len(lo))])
+    f.sizes.clear()
+    means._means(f, lo[rest], hi[rest], (pair.alpha,), 1e-9 / 3.0, True, 12)
+    calls.append(len(f.sizes))
+    return calls
+
+
+def test_shared_pass_evaluates_f_once_per_chunk(monkeypatch):
+    # Origin pieces only, few enough for one chunk per level: the shared
+    # pass evaluates f once per level for both orders, while the separate
+    # passes call power_values, and so evaluate, once per level each.  An
+    # order left alone at a level calls power_values.
+    power_calls = []
+    default = FunctionSpec.power_values
+
+    def counted(spec, x, order):
+        power_calls.append(order)
+        return default(spec, x, order)
+
+    monkeypatch.setattr(FunctionSpec, "power_values", counted)
+    f, pair = EvaluateCounting(), ExponentPair(-1.0, 1.0)
+    intervals = [Interval(0.0, b) for b in np.geomspace(0.01, 50.0, 40).tolist()]
+    beta_calls, alpha_calls = _separate_passes(f, intervals, pair)
+    separate_power_calls = len(power_calls)
+    assert separate_power_calls == beta_calls + alpha_calls
+    power_calls.clear()
+    f.sizes.clear()
+    got = mean_ratios(f, intervals, pair)
+    assert len(power_calls) < separate_power_calls
+    assert len(f.sizes) == max(beta_calls, alpha_calls) < beta_calls + alpha_calls
+    assert f.sizes[0] == len(intervals) * 16 * 11
+    assert got.tolist() == [mean_ratio(f, iv, pair) for iv in intervals]
+
+
+def test_shared_pass_calls_power_values_no_more_than_separate_passes():
+    # Orders that cannot share f (power_values overridden) keep one call per
+    # chunk of their own pieces, across chunk boundaries too.
+    f, pair = RecordingRoot(), ExponentPair(1.0, 2.0)
+    per_chunk = means._NODE_BUDGET // (16 * 11)
+    intervals = [Interval(0.0, b) for b in np.geomspace(0.01, 50.0, per_chunk + 7).tolist()]
+    intervals += [Interval(0.5, 0.5 + w) for w in (0.1, 1.0, 20.0)]
+    lo, hi = means._bounds(intervals)
+    separate = 0
+    for order in (pair.beta, pair.alpha):
+        g = RecordingRoot()
+        means._means(g, lo, hi, (order,), 1e-9 / 3.0, True, 12)
+        separate += len(g.nodes[order])
+    got = mean_ratios(f, intervals, pair)
+    assert sum(map(len, f.nodes.values())) <= separate
+    assert got.tolist() == [mean_ratio(RecordingRoot(), iv, pair) for iv in intervals]
 
 
 def test_batch_raises_errors_other_than_failed_evaluations():
