@@ -26,9 +26,8 @@ neighbouring stretches.
 Every search runs on one engine, _grid_refine, which refines many
 independent searches in lockstep; an analytic search is a batch of one.
 A table's polishes run as one batch, so each refinement round is one
-scoring pass over the stencils of every polish still refining, and the
-rule that skips a pair next to a better settled one is replayed over the
-finished polishes in pair order.
+scoring pass over the stencils of every polish still refining, and every
+polish counts.
 """
 
 from __future__ import annotations
@@ -78,7 +77,8 @@ _EPS_TAIL_FLOOR = 1e-6
 # polish scores at most _POLISH_PAIRS * 81 windows.
 _SCORE_SLICE = 512
 
-# Most knot pairs held at once by the exhaustive table scan.
+# Most knot pairs held at once by the exhaustive table scan, or one row
+# of knot pairs if it is longer.
 _SCAN_BLOCK = 1 << 14
 
 # Knot pairs considered for the polish after the scan, seeds per stretch
@@ -294,28 +294,29 @@ def _search(f: FunctionSpec, pair: ExponentPair, bounds, boxes, rtol: float = _C
 
 
 def _best(f: FunctionSpec, pair: ExponentPair, found, evals: int = 0) -> SupremumEstimate:
-    """The first best of the searches found; a failed search raises its error.
+    """The first best of the searches found that did not fail.
 
-    Its search points are evals plus the evaluations of every search in
-    found.  The other searches' witnesses are scored again in one batch,
-    and the winner's by the scalar mean_ratio; each must give its search's
-    value exactly.
+    A failed search (a NumericError in found) is dropped; when every search
+    failed, the first error is raised.  Its search points are evals plus
+    the evaluations of every search kept.  The other kept searches'
+    witnesses are scored again in one batch, and the winner's by the scalar
+    mean_ratio; each must give its search's value exactly.
     """
-    for result in found:
-        if isinstance(result, NumericError):
-            raise result
-    win = max(range(len(found)), key=lambda s: found[s][0])
-    others = found[:win] + found[win + 1 :]
+    kept = [r for r in found if not isinstance(r, NumericError)]
+    if not kept:
+        raise found[0]
+    win = max(range(len(kept)), key=lambda s: kept[s][0])
+    others = kept[:win] + kept[win + 1 :]
     if others:
         lo = np.array([r[1].lo for r in others])
         hi = np.array([r[1].hi for r in others])
         again = _scored_ratios(f, lo, hi, pair, QUAD_TOL, _QUAD_MAX_LEVELS)
         if again.tolist() != [r[0] for r in others]:
             raise NumericError("a witness does not reproduce its batched score")
-    value, witness, _, converged = found[win]
+    value, witness, _, converged = kept[win]
     if mean_ratio(f, witness, pair, QUAD_TOL, _QUAD_MAX_LEVELS) != value:
         raise NumericError("the witness does not reproduce its batched score")
-    return SupremumEstimate(value, witness, evals + sum(r[2] for r in found), converged)
+    return SupremumEstimate(value, witness, evals + sum(r[2] for r in kept), converged)
 
 
 def _exp(w: np.ndarray) -> np.ndarray:
@@ -352,10 +353,11 @@ def _scan_knot_pairs(table: SampledTable, pair: ExponentPair):
     cumulative sums of the exact stretch terms from knot i on, so every
     sum starts at its window's left knot and adds positive terms.  The
     terms use the table's scale (means._knot_integrals), so a window
-    whose terms all lie some 1e-300 below it cannot be ranked.  Rows are
-    taken in blocks of at most _SCAN_BLOCK pairs, a long row in several
-    blocks that carry its running sums.  Returns the _POLISH_PAIRS best
-    (i, j), best first, and the number of pairs scored.
+    whose terms all lie some 1e-300 below it cannot be ranked, and a table
+    none of whose windows can be ranked raises NumericError.  Rows are
+    taken in blocks of at most _SCAN_BLOCK pairs, or one row if it is
+    longer.  Returns the _POLISH_PAIRS best (i, j), best first, and the
+    number of pairs scored.
     """
     xs, m = table.xs, len(table.xs) - 1
     ca, ta = _knot_integrals(table, pair.alpha)
@@ -371,33 +373,27 @@ def _scan_knot_pairs(table: SampledTable, pair: ExponentPair):
     r0 = 0
     while r0 < m:
         rows = np.arange(r0, min(m, r0 + max(1, _SCAN_BLOCK // (m - r0))))
-        carry_a, carry_b = np.zeros(len(rows)), np.zeros(len(rows))
-        for c0 in range(r0, m, _SCAN_BLOCK):
-            k = np.arange(c0, min(m, c0 + _SCAN_BLOCK))
-            inside = k[None, :] >= rows[:, None]
-            sa = np.where(inside, ta[k], 0.0)
-            sb = np.where(inside, tb[k], 0.0)
-            sa[:, 0] += carry_a
-            sb[:, 0] += carry_b
-            np.cumsum(sa, axis=1, out=sa)
-            np.cumsum(sb, axis=1, out=sb)
-            carry_a, carry_b = sa[:, -1], sb[:, -1]
-            width = xs[k + 1][None, :] - xs[rows][:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                score = np.log(sb) / pair.beta - np.log(sa) / pair.alpha
-                score += shift + tilt * np.log(width)
-            score[~inside | np.isnan(score)] = -math.inf
-            top = np.argpartition(score, -min(_POLISH_PAIRS, score.size), axis=None)
-            top = top[-_POLISH_PAIRS:]
-            ri, cj = np.unravel_index(top, score.shape)
-            best = np.concatenate((best, score[ri, cj]))
-            best_i = np.concatenate((best_i, rows[ri]))
-            best_j = np.concatenate((best_j, k[cj] + 1))
-            keep = np.lexsort((best_j, best_i, -best))[:_POLISH_PAIRS]
-            best, best_i, best_j = best[keep], best_i[keep], best_j[keep]
+        k = np.arange(r0, m)
+        inside = k[None, :] >= rows[:, None]
+        sa = np.cumsum(np.where(inside, ta[k], 0.0), axis=1)
+        sb = np.cumsum(np.where(inside, tb[k], 0.0), axis=1)
+        width = xs[k + 1][None, :] - xs[rows][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.log(sb) / pair.beta - np.log(sa) / pair.alpha
+            score += shift + tilt * np.log(width)
+        score[~inside | np.isnan(score)] = -math.inf
+        top = np.argpartition(score, -min(_POLISH_PAIRS, score.size), axis=None)
+        top = top[-_POLISH_PAIRS:]
+        ri, cj = np.unravel_index(top, score.shape)
+        best = np.concatenate((best, score[ri, cj]))
+        best_i = np.concatenate((best_i, rows[ri]))
+        best_j = np.concatenate((best_j, k[cj] + 1))
+        keep = np.lexsort((best_j, best_i, -best))[:_POLISH_PAIRS]
+        best, best_i, best_j = best[keep], best_i[keep], best_j[keep]
         r0 = int(rows[-1]) + 1
-    # The whole table's window always scores, since some stretch holds the scale.
     found = np.isfinite(best)
+    if not found.any():
+        raise NumericError("no window of the table has finite means")
     return list(zip(best_i[found].tolist(), best_j[found].tolist())), m * (m + 1) // 2
 
 
@@ -417,30 +413,15 @@ def _search_table(table: SampledTable, pair: ExponentPair) -> SupremumEstimate:
     Each polish is a 2-D search over windows (a, b) with a and b free in
     the stretches beside the pair's two knots (its box), until a round
     gains less than _POLISH_RTOL; its seed grid holds the knot pair
-    itself.  All polishes run in one lockstep batch, and the skip rule is
-    then replayed over them in pair order: a pair whose knots are both
-    within one knot of a better pair already counted is skipped if that
-    polish ended strictly inside its box, since the two boxes overlap and
-    that polish settled on a maximum there rather than one past its edge.
-    A skipped pair adds neither its evaluations nor its error.  The best
-    counted window wins, the first on ties.
+    itself.  All polishes run in one lockstep batch, and every one counts:
+    the best window of the polishes that did not fail wins (_best), the
+    first on ties.
     """
     xs = table.xs
     pairs, evals = _scan_knot_pairs(table, pair)
     boxes = [[_knot_seeds(xs, i), _knot_seeds(xs, j)] for i, j in pairs]
     found = _search(table, pair, lambda p: (p[:, 0], p[:, 1]), boxes, _POLISH_RTOL)
-    settled, counted = [], []
-    for (i, j), box, result in zip(pairs, boxes, found):
-        if any(abs(i - a) <= 1 and abs(j - b) <= 1 for a, b in settled):
-            continue
-        counted.append(result)
-        if isinstance(result, NumericError):
-            break
-        # A box edge at a table end cannot be crossed, so it does not count.
-        ends = (result[1].lo, result[1].hi)
-        if not any(x in (s[0], s[-1]) and x not in (xs[0], xs[-1]) for x, s in zip(ends, box)):
-            settled.append((i, j))
-    return _best(table, pair, counted, evals)
+    return _best(table, pair, found, evals)
 
 
 def estimate_halfline(

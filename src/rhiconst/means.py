@@ -646,7 +646,7 @@ def _knot_integrals(table: SampledTable, order: float) -> tuple[float, np.ndarra
     1e-300 below scale**order underflows.
     """
     scale = _table_scale(table, order)
-    with np.errstate(invalid="ignore"):  # an all-zero table scales to NaN
+    with np.errstate(invalid="ignore", over="ignore"):  # an all-zero table scales to NaN
         u, v = table.fs[:-1] / scale, table.fs[1:] / scale
     return scale, _stretch_integrals(u, v, np.diff(table.xs), order)
 
@@ -674,7 +674,7 @@ def _scaled_window_sums(table: SampledTable, lo: np.ndarray, hi: np.ndarray, ord
     v = np.where(last, np.interp(hi, xs, fs)[w], fs[k])
     pick = np.maximum if order > 0.0 else np.minimum
     scales = pick.reduceat(pick(u, v), starts)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = _stretch_integrals(u / scales[w], v / scales[w], x1 - x0, order)
     # bincount adds each window's stretches to 0 one at a time, left to right.
     return scales, np.bincount(w, weights=terms, minlength=len(lo))
@@ -740,7 +740,7 @@ def _window_sums(table: SampledTable, windows: _Windows, order: float):
     n = len(lo)
     m = len(windows.h) - 2 * n
     scale = _table_scale(table, order)
-    with np.errstate(invalid="ignore"):  # an all-zero table scales to NaN
+    with np.errstate(invalid="ignore", over="ignore"):  # an all-zero table scales to NaN
         terms = _stretch_integrals(windows.u / scale, windows.v / scale, windows.h, order)
     inner = np.zeros(n)
     for rows, start, stop, at in windows.runs:

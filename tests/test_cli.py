@@ -320,6 +320,22 @@ def test_estimate_all_zero_table_is_numeric_error(capsys, tmp_path):
     assert "no window of the table has finite means" in err
 
 
+def test_table_beyond_double_range_is_numeric_error(tmp_path):
+    # At alpha = -1 the table's scale is 1e-310, so every scaled stretch
+    # term overflows and no knot pair has finite means.  A fresh process,
+    # so that numpy's overflow warnings would reach stderr.
+    path = write_table(tmp_path / "wide.csv", [(1, "1e-310"), (2, "1e300"), (3, "1e-300")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "rhiconst.cli", "estimate", "--alpha", "-1", "--beta", "2",
+         "--csv", path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("numeric error:")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 def test_estimate_table_extension_refused(capsys, tmp_path):
     path = write_table(tmp_path / "inc.csv", [(0.5, 1.0), (1.0, 2.0), (2.0, 5.0)])
     code, _, err = run_cli(

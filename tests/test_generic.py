@@ -151,7 +151,7 @@ def _small_tables():
         fs = np.exp(rng.normal(0.0, 1.0, n))
         yield xs, np.sort(fs) if k % 3 == 0 else fs, pairs[k % 3]
     # The maximum of this one lies in the box of the second-best knot pair,
-    # which is next to the best one: skipping it loses 1.1%.
+    # which is next to the best one: polishing the best pair alone loses 1.1%.
     yield (
         np.array([0.46231794347357497, 3.20226735632096, 5.362688714223436,
                   6.5565998123772244, 6.931011326034207, 9.944480399783854,
@@ -257,30 +257,29 @@ def _wavy_table(seed: int, n: int) -> SampledTable:
         (
             BUMPY_TABLE,
             ExponentPair(-1.0, 1.0),
-            (1.178919137212659, 3.5, 8.0, 1273, True),
+            (1.178919137212659, 3.5, 8.0, 2749, True),
         ),
         (
             _wavy_table(1, 60),
             ExponentPair(1.0, 2.0),
-            (1.1419674193381684, 4.434372621832104, 10.315462922955097, 4038, True),
+            (1.1419674193381684, 4.434372621832104, 10.315462922955097, 7116, True),
         ),
         (
             _wavy_table(2, 180),
             ExponentPair(-2.0, -1.0),
-            (1.139987257673437, 11.19549166742343, 16.862825434599966, 18540, True),
+            (1.139987257673437, 11.19549166742343, 16.862825434599966, 22752, True),
         ),
         (
             _wavy_table(3, 360),
             ExponentPair(-1.0, 1.0),
-            (1.3173049165629636, 3.4112588966115176, 9.347920145246809, 66969, True),
+            (1.3173049165629636, 3.4112588966115176, 9.347920145246809, 70047, True),
         ),
     ],
     ids=["bumpy", "wavy-60-pos", "wavy-180-neg", "wavy-360-mixed"],
 )
 def test_table_searches_are_pinned(table, pair, expected):
-    # Exact results of the scan and polish.  Each table skips some of its
-    # best knot pairs by the settle rule, and a skipped pair must add
-    # neither its evaluations nor its witness.
+    # Exact results of the scan and polish; every polished pair adds its
+    # evaluations.
     est = estimate_halfline(table, pair)
     got = (est.value, est.witness.lo, est.witness.hi, est.search_points, est.converged)
     assert got == expected
@@ -474,38 +473,65 @@ def test_table_search_scores_one_pass_per_round(monkeypatch):
 def _replay(monkeypatch, table, pair, planted):
     # The table search with the polishes numbered in planted failing with a
     # NumericError.  Returns the estimate, or the error it raised, and the
-    # numbers of the polishes the skip rule counted out of all polishes.
-    search, best = generic._search, generic._best
-    found, counted = [], []
+    # result of every polish as it ran.
+    search = generic._search
+    found = []
 
     def failing(*args):
         found.extend(search(*args))
-        found[:] = [NumericError("planted") if k in planted else r for k, r in enumerate(found)]
-        return list(found)
-
-    def recording(f, pair, results, evals=0):
-        counted.extend(k for k, r in enumerate(found) if any(r is c for c in results))
-        return best(f, pair, results, evals)
+        return [NumericError("planted") if k in planted else r for k, r in enumerate(found)]
 
     with monkeypatch.context() as patch:
         patch.setattr(generic, "_search", failing)
-        patch.setattr(generic, "_best", recording)
         try:
             result = estimate_halfline(table, pair)
         except NumericError as exc:
             result = exc
-    return result, counted, len(found)
+    return result, found
 
 
-def test_skipped_polish_adds_no_error(monkeypatch):
+def test_every_polish_counts_and_a_failed_one_is_dropped(monkeypatch):
     table, pair = _wavy_table(1, 60), ExponentPair(1.0, 2.0)
-    plain, counted, polished = _replay(monkeypatch, table, pair, set())
-    skipped = set(range(polished)) - set(counted)
-    assert skipped and isinstance(plain, SupremumEstimate)
-    again, _, _ = _replay(monkeypatch, table, pair, skipped)
-    assert again == plain
-    failed, _, _ = _replay(monkeypatch, table, pair, {counted[-1]})
+    _, scanned = generic._scan_knot_pairs(table, pair)
+    plain, found = _replay(monkeypatch, table, pair, set())
+    assert len(found) == generic._POLISH_PAIRS
+    assert plain.value == max(r[0] for r in found)
+    assert plain.search_points == scanned + sum(r[2] for r in found)
+    for k in range(len(found)):
+        others = found[:k] + found[k + 1 :]
+        # max keeps the first of equal values, like _best.
+        win = max(others, key=lambda r: r[0])
+        got, _ = _replay(monkeypatch, table, pair, {k})
+        assert (got.value, got.witness) == win[:2]
+        assert got.search_points == scanned + sum(r[2] for r in others)
+    failed, _ = _replay(monkeypatch, table, pair, set(range(len(found))))
     assert isinstance(failed, NumericError) and str(failed) == "planted"
+
+
+def test_polish_next_to_a_better_pair_counts():
+    # The polish of the best knot pair, (1.613, 2.433), settles at
+    # 1.13891177; the polishes of the two pairs next to it, which share its
+    # box's stretches, reach 1.13897962, the peak of a dense scan of the
+    # exact means.
+    tbl = SampledTable(np.array([0.7081, 1.613, 2.433]), np.array([0.8775, 1.478, 0.2879]))
+    pair = ExponentPair(2.0, 5.0)
+    est = estimate_halfline(tbl, pair)
+    assert est.value >= 1.13897962 * (1.0 - 1e-9)
+    a = np.linspace(0.7081, 2.433, 401)
+    lo, hi = np.meshgrid(a, a, indexing="ij")
+    inside = lo < hi
+    dense = generic._scored_ratios(
+        tbl, lo[inside], hi[inside], pair, generic.QUAD_TOL, generic._QUAD_MAX_LEVELS
+    )
+    assert est.value >= dense.max()
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, generic._SCAN_BLOCK])
+def test_scan_blocks_do_not_change_the_ranking(monkeypatch, block):
+    table, pair = _wavy_table(1, 60), ExponentPair(1.0, 2.0)
+    expected = generic._scan_knot_pairs(table, pair)
+    monkeypatch.setattr(generic, "_SCAN_BLOCK", block)
+    assert generic._scan_knot_pairs(table, pair) == expected
 
 
 def test_table_extension_is_rejected():
