@@ -34,7 +34,6 @@ from .core import (
     NumericError,
     QuadratureError,
     RhiError,
-    SearchConfig,
     classify_case,
     gamma_domain,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "QuadratureError",
     "RhiError",
     "SampledTable",
-    "SearchConfig",
     "SharpnessRow",
     "SupremumEstimate",
     "brute_extension",

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Case, DomainError, ExponentPair, NumericError, SearchConfig, gamma_domain
+from .core import Case, DomainError, ExponentPair, NumericError, gamma_domain
 # power_report stays importable here: perfbench/tracing.py wraps
 # classconst.power_report by name.
 from .power import PowerRhiReport, _power_reports, power_report  # noqa: F401
@@ -179,12 +179,10 @@ def gamma_approach_sequence(pair: ExponentPair, toward: float, count: int) -> li
     return out
 
 
-def gamma_sweep(
-    pair: ExponentPair, gammas: Iterable[float], cfg: SearchConfig | None = None
-) -> list[PowerRhiReport]:
+def gamma_sweep(pair: ExponentPair, gammas: Iterable[float]) -> list[PowerRhiReport]:
     """Full power report for each exponent, in the given order.
 
-    The rows equal power_report(pair, g, cfg) one by one, which is a batch
+    The rows equal power_report(pair, g) one by one, which is a batch
     of one; here the golden sections of all exponents run in lockstep, one
     elementwise curve call per step.  The first exponent in order that
     would raise decides the exception.
@@ -192,7 +190,7 @@ def gamma_sweep(
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise DomainError("gamma sweep needs at least one exponent")
-    return _power_reports(pair, gammas, cfg)
+    return _power_reports(pair, gammas)
 
 
 # ---------------------------------------------------------------------------

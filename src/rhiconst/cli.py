@@ -28,7 +28,6 @@ from .core import (
     ExponentPair,
     NumericError,
     RhiError,
-    SearchConfig,
     gamma_domain,
 )
 from .generic import QUAD_TOL, estimate_halfline, extension_ratio
@@ -39,7 +38,7 @@ from .means import (
     PowerLaw,
     table_from_csv,
 )
-from .power import power_report
+from .power import EPS_GRID, power_report
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -214,8 +213,7 @@ def _pair_from(args) -> ExponentPair:
 
 def _cmd_power(args) -> int:
     pair = _pair_from(args)
-    cfg = SearchConfig(eps_grid=args.grid)
-    report = power_report(pair, args.gamma, cfg)
+    report = power_report(pair, args.gamma, args.grid)
     (row,) = _table_rows(_SWEEP_GAMMA_COLUMNS, [report])
     if args.format == "csv":
         _emit(_csv_text(_SWEEP_GAMMA_COLUMNS, [row]), args.out)
@@ -227,7 +225,7 @@ def _cmd_power(args) -> int:
         {
             "residual_applicable": report.residual_applicable,
             "gamma_domain": str(gamma_domain(pair)),
-            "eps_grid": cfg.eps_grid,
+            "eps_grid": args.grid,
         },
     )
     _emit(_render_json(record) + "\n", args.out)
@@ -378,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("power", help="closed-form constants for f(x)=x**gamma")
     add_common(p, fmt=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--grid", type=int, default=SearchConfig().eps_grid)
+    p.add_argument("--grid", type=int, default=EPS_GRID, help="shape-curve seeds, 64 to 2**20")
     p.set_defaults(handler=_cmd_power)
 
     p = sub.add_parser("class", help="class-level constants for an exponent pair")

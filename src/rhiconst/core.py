@@ -1,9 +1,8 @@
 """Validated domain types shared by every other module.
 
-Exponent pairs, the admissible power-exponent range, plain intervals, the
-search configuration, and the error taxonomy live here.  Construction is
-strict: an object that exists is usable, so downstream numerics never
-re-validate their inputs.
+Exponent pairs, the admissible power-exponent range, plain intervals and
+the error taxonomy live here.  Construction is strict: an object that
+exists is usable, so downstream numerics never re-validate their inputs.
 
 Conventions
 -----------
@@ -38,7 +37,6 @@ __all__ = [
     "NumericError",
     "QuadratureError",
     "RhiError",
-    "SearchConfig",
     "classify_case",
     "gamma_domain",
 ]
@@ -234,39 +232,3 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-
-# ---------------------------------------------------------------------------
-# Search configuration
-# ---------------------------------------------------------------------------
-
-# Largest eps_grid accepted: the shape-curve scan holds about a dozen
-# float arrays of this length.
-_EPS_GRID_MAX = 1 << 20
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """The two seed grids a caller may size.
-
-    Attributes
-    ----------
-    eps_grid:
-        Seed points of the dense global grid used when maximizing the
-        shape curve over [0, 1], from 64 to 2**20.  The grid is scanned
-        in full before any local refinement because no unimodality
-        guarantee exists.
-    interval_grid:
-        Seed points per dimension in the interval searches, at least 8.
-
-    The quadrature tolerance, the scale window and the refinement budget
-    of the interval searches are fixed constants of generic.
-    """
-
-    eps_grid: int = 4096
-    interval_grid: int = 64
-
-    def __post_init__(self) -> None:
-        if not 64 <= self.eps_grid <= _EPS_GRID_MAX:
-            raise DomainError(f"eps_grid must lie between 64 and {_EPS_GRID_MAX}")
-        if self.interval_grid < 8:
-            raise DomainError("interval_grid must be at least 8")

@@ -18,9 +18,10 @@ Reductions from the structure of the input shrink the search space:
   extension search to eps alone at b = 1.
 
 Analytic inputs of unknown monotonicity get the full two-dimensional
-(start, width) search.  Sampled tables get no reduction: their means are
-exact (means.py), so every window between two knots is scored, and the
-best knot pairs are then polished with both ends free inside the
+(start, width) search, which is also the reference the origin-anchored
+reduction is checked against.  Sampled tables get no reduction: their
+means are exact (means.py), so every window between two knots is scored,
+and the best knot pairs are then polished with both ends free inside the
 neighbouring stretches.
 
 Every search runs on one engine, _grid_refine, which refines many
@@ -44,7 +45,6 @@ from .core import (
     ExponentPair,
     Interval,
     NumericError,
-    SearchConfig,
 )
 from .means import (
     EvenExtensionView,
@@ -154,14 +154,16 @@ class ExtensionRatio:
 # non-maximum.  Coordinates are whatever the caller chose (log-scale or
 # linear); refinement is linear in that coordinate.
 #
-# Every mean is taken to QUAD_TOL within _QUAD_MAX_LEVELS mesh doublings.
-# A search runs at most _REFINE_ROUNDS rounds, shrinking its brackets by
-# _REFINE_SHRINK each, and stops after a round that gains less than
-# _CONVERGE_RTOL (relative).  The analytic searches seed widths, right
-# ends and nonzero starts log-uniformly over [_SCALE_MIN, _SCALE_MAX].
+# Every mean is taken to QUAD_TOL within the level budget of means
+# (means._QUAD_MAX_LEVELS).  A search runs at most _REFINE_ROUNDS rounds,
+# shrinking its brackets by _REFINE_SHRINK each, and stops after a round
+# that gains less than _CONVERGE_RTOL (relative).  The analytic searches
+# seed widths, right ends and nonzero starts log-uniformly over
+# [_SCALE_MIN, _SCALE_MAX], interval_grid seeds per axis: _INTERVAL_GRID
+# unless the caller sizes it, at least 8.
 
 QUAD_TOL = 1e-8
-_QUAD_MAX_LEVELS = 12
+_INTERVAL_GRID = 64
 _REFINE_ROUNDS = 12
 _REFINE_SHRINK = 4.0
 _CONVERGE_RTOL = 1e-6
@@ -280,7 +282,7 @@ def _search(f: FunctionSpec, pair: ExponentPair, bounds, boxes, rtol: float = _C
         step = max(1, len(rows)) if whole else _SCORE_SLICE
         for i in range(0, len(rows), step):
             r = rows[i : i + step]
-            scores[r] = _scored_ratios(f, lo[r], hi[r], pair, QUAD_TOL, _QUAD_MAX_LEVELS)
+            scores[r] = _scored_ratios(f, lo[r], hi[r], pair, QUAD_TOL)
         return scores
 
     found = []
@@ -310,11 +312,11 @@ def _best(f: FunctionSpec, pair: ExponentPair, found, evals: int = 0) -> Supremu
     if others:
         lo = np.array([r[1].lo for r in others])
         hi = np.array([r[1].hi for r in others])
-        again = _scored_ratios(f, lo, hi, pair, QUAD_TOL, _QUAD_MAX_LEVELS)
+        again = _scored_ratios(f, lo, hi, pair, QUAD_TOL)
         if again.tolist() != [r[0] for r in others]:
             raise NumericError("a witness does not reproduce its batched score")
     value, witness, _, converged = kept[win]
-    if mean_ratio(f, witness, pair, QUAD_TOL, _QUAD_MAX_LEVELS) != value:
+    if mean_ratio(f, witness, pair, QUAD_TOL) != value:
         raise NumericError("the witness does not reproduce its batched score")
     return SupremumEstimate(value, witness, evals + sum(r[2] for r in kept), converged)
 
@@ -323,6 +325,16 @@ def _exp(w: np.ndarray) -> np.ndarray:
     # math, not numpy: np.exp can differ from math.exp in the last bit,
     # which would move every witness.
     return np.array([math.exp(x) for x in w.tolist()])
+
+
+def _log_scale_seeds(n: int) -> np.ndarray:
+    """n seeds uniform in log scale over the scale window, as logs."""
+    return np.linspace(math.log(_SCALE_MIN), math.log(_SCALE_MAX), n)
+
+
+def _check_grid(interval_grid: int) -> None:
+    if interval_grid < 8:
+        raise DomainError("interval_grid must be at least 8")
 
 
 def _check_input(f: FunctionSpec, pair: ExponentPair) -> None:
@@ -424,45 +436,43 @@ def _search_table(table: SampledTable, pair: ExponentPair) -> SupremumEstimate:
     return _best(table, pair, found, evals)
 
 
+def _halfline_2d(f: FunctionSpec, pair: ExponentPair, n: int = _INTERVAL_GRID) -> SupremumEstimate:
+    """Full (start, width) search of an analytic input, n seeds per axis.
+
+    Starts are linear so a 0 anchor can participate; widths are logs over
+    the scale window.  The caller checks the grid and the input.
+    """
+
+    def window(points: np.ndarray):
+        return points[:, 0], points[:, 0] + _exp(points[:, 1])
+
+    starts = np.concatenate(([0.0], np.geomspace(_SCALE_MIN, _SCALE_MAX, n - 1)))
+    return _best(f, pair, _search(f, pair, window, [[starts, _log_scale_seeds(n)]]))
+
+
 def estimate_halfline(
-    f: FunctionSpec,
-    pair: ExponentPair,
-    cfg: SearchConfig | None = None,
-    *,
-    use_reduction: bool = True,
+    f: FunctionSpec, pair: ExponentPair, interval_grid: int = _INTERVAL_GRID
 ) -> SupremumEstimate:
     """Searched lower bound on the half-line mean-ratio supremum.
 
-    A table gets the exhaustive knot-pair scan and polish, which uses
-    neither cfg nor use_reduction: both are accepted for a table and have
-    no effect.  Monotone analytic inputs use the one-dimensional
-    origin-anchored family; a use_reduction=False override forces the
-    two-dimensional search, which exists mostly so the reduction itself
-    can be cross-checked.
+    interval_grid, at least 8, is the number of seeds per search axis; it
+    is checked before anything else.  A table gets the exhaustive
+    knot-pair scan and polish, seeded at its knots, not on the grid.
+    Monotone analytic inputs use the one-dimensional origin-anchored
+    family, other analytic inputs the full (start, width) search.
     """
-    cfg = cfg or SearchConfig()
+    _check_grid(interval_grid)
     _check_input(f, pair)
     if isinstance(f, SampledTable):
         return _search_table(f, pair)
+    if f.monotonicity is Monotonicity.UNKNOWN:
+        return _halfline_2d(f, pair, interval_grid)
 
     def anchored(points: np.ndarray):
         # +0.0 on every row: 0.0 * w would give -0.0 for w < 0.
         return np.zeros(len(points)), _exp(points[:, 0])
 
-    def window(points: np.ndarray):
-        return points[:, 0], points[:, 0] + _exp(points[:, 1])
-
-    # Starts are linear so a 0 anchor can participate.  Widths live in log
-    # space over the scale window.
-    n = cfg.interval_grid
-    starts = np.concatenate(([0.0], np.geomspace(_SCALE_MIN, _SCALE_MAX, n - 1)))
-    wseeds = np.linspace(math.log(_SCALE_MIN), math.log(_SCALE_MAX), n)
-
-    if use_reduction and f.monotonicity is not Monotonicity.UNKNOWN:
-        return _best(f, pair, _search(f, pair, anchored, [[wseeds]]))
-
-    # Full 2-D search over (start, width).
-    return _best(f, pair, _search(f, pair, window, [[starts, wseeds]]))
+    return _best(f, pair, _search(f, pair, anchored, [[_log_scale_seeds(interval_grid)]]))
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +502,16 @@ def _check_extension_input(f: FunctionSpec, pair: ExponentPair) -> None:
 
 
 def estimate_extension(
-    f: FunctionSpec, pair: ExponentPair, cfg: SearchConfig | None = None
+    f: FunctionSpec, pair: ExponentPair, interval_grid: int = _INTERVAL_GRID
 ) -> SupremumEstimate:
     """Searched lower bound on the mean-ratio supremum of the even extension.
 
     Only straddling shapes (-eps*b, b) need to be searched.  Pure powers
     drop the b axis by scale invariance.  Tables are rejected: their even
-    extension is undefined on the gap around the origin.
+    extension is undefined on the gap around the origin.  interval_grid
+    is checked first, as in estimate_halfline.
     """
-    cfg = cfg or SearchConfig()
+    _check_grid(interval_grid)
     _check_extension_input(f, pair)
     extended = EvenExtensionView(f)
 
@@ -509,25 +520,27 @@ def estimate_extension(
         b = _exp(points[:, 1]) if points.shape[1] > 1 else np.ones(len(points))
         return -points[:, 0] * b, b
 
-    eps_seeds = _eps_seeds(cfg.interval_grid)
+    eps_seeds = _eps_seeds(interval_grid)
     if isinstance(f, PowerLaw):
         return _best(extended, pair, _search(extended, pair, straddle, [[eps_seeds]]))
-    bseeds = np.linspace(math.log(_SCALE_MIN), math.log(_SCALE_MAX), cfg.interval_grid)
+    bseeds = _log_scale_seeds(interval_grid)
     return _best(extended, pair, _search(extended, pair, straddle, [[eps_seeds, bseeds]]))
 
 
 def extension_ratio(
-    f: FunctionSpec, pair: ExponentPair, cfg: SearchConfig | None = None
+    f: FunctionSpec, pair: ExponentPair, interval_grid: int = _INTERVAL_GRID
 ) -> ExtensionRatio:
     """Growth of the supremum under even extension, checked against the bound.
 
     Both searches must converge; the ratio of two unsettled lower bounds
-    says nothing and is refused rather than reported.  An input without an
-    even extension is refused before either search runs.
+    says nothing and is refused rather than reported.  interval_grid is
+    checked first, and an input without an even extension is refused
+    before either search runs.
     """
+    _check_grid(interval_grid)
     _check_extension_input(f, pair)
-    halfline = estimate_halfline(f, pair, cfg)
-    extension = estimate_extension(f, pair, cfg)
+    halfline = estimate_halfline(f, pair, interval_grid)
+    extension = estimate_extension(f, pair, interval_grid)
     if not (halfline.converged and extension.converged):
         raise NumericError("supremum searches did not converge; ratio withheld")
     return ExtensionRatio(

@@ -78,8 +78,8 @@ Each window adds its own stretches from its left end; no window integral
 is a difference of cumulative sums, which cancels catastrophically when
 the window's terms are small next to the ones before it.  A pass finds
 the windows' stretches once for all its orders and takes only their
-terms per order.  Table means
-have no quadrature error, so tol and max_levels do not apply to them.
+terms per order.  Table means have no quadrature error, so tol and the
+level budget do not apply to them.
 
 0**r is treated as 0 for r > 0.  For r < 0 it is inadmissible and the
 entry points reject the configurations that would produce it.
@@ -358,10 +358,12 @@ class EvenExtensionView(FunctionSpec):
 def table_from_csv(path: str) -> SampledTable:
     """Load a SampledTable from a CSV file with header ``x,f``."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise DataError(f"cannot read table file {path!r}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"table file {path!r} is not UTF-8 CSV: {exc}") from exc
     if not rows:
         raise DataError(f"empty table file {path!r}")
     header = [cell.strip() for cell in rows[0]]
@@ -436,6 +438,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Most quadrature nodes handed to one integrand call.  Pieces are never
 # split, so a piece with more nodes than this is integrated alone.
 _NODE_BUDGET = 1 << 14
+
+# Most refinement levels a mean takes before it fails with QuadratureError.
+_QUAD_MAX_LEVELS = 12
 
 
 def _substitution_exponent(s: float | None) -> float:
@@ -879,16 +884,17 @@ class _Order:
         self.previous[act] = value
 
 
-def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool, max_levels: int):
+def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
     """Adaptive means of each order in orders over every interval (lo[i], hi[i]) at once.
 
-    Every interval refines level by level until two successive levels
-    agree to tol * (1 + |value|), each order on its own.  With tighten, an
-    interval whose mean converges below 1 has its tolerance scaled by that
-    mean and continues from the level it reached; the tighter test cannot
-    pass at an earlier level, so it ends where a restart from level 0
-    would.  The first order leads: from the level after its mean of an
-    interval fails, the other orders do no more work on that interval.
+    Every interval refines level by level, at most _QUAD_MAX_LEVELS of
+    them, until two successive levels agree to tol * (1 + |value|), each
+    order on its own.  With tighten, an interval whose mean converges
+    below 1 has its tolerance scaled by that mean and continues from the
+    level it reached; the tighter test cannot pass at an earlier level, so
+    it ends where a restart from level 0 would.  The first order leads:
+    from the level after its mean of an interval fails, the other orders
+    do no more work on that interval.
 
     Returns, per order, (values, diffs, errors): per-interval means and
     last-level differences, and the RhiError each failed interval would
@@ -955,7 +961,7 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool, max_level
     # evaluation of f at their shared nodes.
     shared = type(base).power_values is FunctionSpec.power_values
 
-    for level in range(max_levels):
+    for level in range(_QUAD_MAX_LEVELS):
         for o in passes[1:]:
             o.active &= ~lead.failed
         live = [o for o in passes if o.active.any()]
@@ -990,7 +996,7 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool, max_level
         for i in np.flatnonzero(o.active).tolist():
             o.errors[i] = QuadratureError(
                 f"mean of order {o.order:g} over ({lo[i]:g}, {hi[i]:g})"
-                f" did not reach tol={o.tols[i]:g} within {max_levels} refinement levels"
+                f" did not reach tol={o.tols[i]:g} within {_QUAD_MAX_LEVELS} refinement levels"
             )
     return [(o.values, o.diffs, o.errors) for o in passes]
 
@@ -1010,8 +1016,9 @@ def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group) -> None:
     # Deliberately quiet: an overflowing cell makes its row's total
     # non-finite, which fails its interval with a clearer message than the
     # warning.  divide fires when a deep exp tail underflows to 0 under a
-    # negative order and is handled the same way.
-    with np.errstate(over="ignore", divide="ignore"):
+    # negative order, and invalid when a node x = T * u**p underflows to 0
+    # where f**order is infinite (0 * inf); both are handled the same way.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, len(qs), step):
             q = qs[start : start + step]
             x, weights = _nodes(mesh, ulo[q], uhi[q])
@@ -1045,7 +1052,6 @@ def quad_mean(
     interval: Interval,
     order: float,
     tol: float = 1e-10,
-    max_levels: int = 12,
 ) -> MeanValue:
     """Power mean of f over an interval by adaptive composite quadrature.
 
@@ -1054,20 +1060,20 @@ def quad_mean(
     returned.  On an origin-anchored piece a new level splits only the
     cell next to 0 into five and reuses the other cell sums, so the
     estimate measures the cells next to 0 only and is blind to a feature
-    of f farther right.  QuadratureError is raised when the level budget
-    runs out before the tolerance is met.
+    of f farther right.  QuadratureError is raised when the level budget,
+    _QUAD_MAX_LEVELS levels, runs out before the tolerance is met.
     """
     if order == 0.0 or not math.isfinite(order):
         raise DomainError("mean order must be nonzero and finite")
     if not (0.0 < tol < 1.0):
         raise DomainError("tolerance must lie in (0, 1)")
-    [(values, diffs, errors)] = _means(f, *_bounds([interval]), (order,), tol, False, max_levels)
+    [(values, diffs, errors)] = _means(f, *_bounds([interval]), (order,), tol, False)
     if errors:
         raise errors[0]
     return MeanValue(float(values[0]), order, interval, float(diffs[0]))
 
 
-def _ratios(f, lo, hi, pair, tol, max_levels) -> tuple[np.ndarray, dict[int, RhiError]]:
+def _ratios(f, lo, hi, pair, tol) -> tuple[np.ndarray, dict[int, RhiError]]:
     """M_beta / M_alpha over intervals (lo[i], hi[i]), -inf where it fails,
     and the RhiError of each failed interval.
 
@@ -1080,9 +1086,8 @@ def _ratios(f, lo, hi, pair, tol, max_levels) -> tuple[np.ndarray, dict[int, Rhi
     """
     if not (0.0 < tol < 1.0):
         raise DomainError("tolerance must lie in (0, 1)")
-    (beta, _, errors), (alpha, _, failed) = _means(
-        f, lo, hi, (pair.beta, pair.alpha), tol / 3.0, True, max_levels
-    )
+    orders = (pair.beta, pair.alpha)
+    (beta, _, errors), (alpha, _, failed) = _means(f, lo, hi, orders, tol / 3.0, True)
     for i, exc in failed.items():
         errors.setdefault(i, exc)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1091,9 +1096,9 @@ def _ratios(f, lo, hi, pair, tol, max_levels) -> tuple[np.ndarray, dict[int, Rhi
     return ratios, errors
 
 
-def _scored_ratios(f, lo: np.ndarray, hi: np.ndarray, pair, tol, max_levels) -> np.ndarray:
+def _scored_ratios(f, lo: np.ndarray, hi: np.ndarray, pair, tol) -> np.ndarray:
     """mean_ratios over the intervals (lo[i], hi[i]); each must be finite with lo < hi."""
-    ratios, errors = _ratios(f, lo, hi, pair, tol, max_levels)
+    ratios, errors = _ratios(f, lo, hi, pair, tol)
     for exc in errors.values():
         if not isinstance(exc, (DomainError, NumericError, QuadratureError)):
             raise exc
@@ -1105,7 +1110,6 @@ def mean_ratio(
     interval: Interval,
     pair: ExponentPair,
     tol: float = 1e-9,
-    max_levels: int = 12,
 ) -> float:
     """M_beta / M_alpha over one interval, accurate to ~tol relatively.
 
@@ -1114,7 +1118,7 @@ def mean_ratio(
     accuracy even when the means themselves are far from 1.  For valid
     inputs the result is >= 1 - tol.
     """
-    ratios, errors = _ratios(f, *_bounds([interval]), pair, tol, max_levels)
+    ratios, errors = _ratios(f, *_bounds([interval]), pair, tol)
     if errors:
         raise errors[0]
     return float(ratios[0])
@@ -1125,7 +1129,6 @@ def mean_ratios(
     intervals,
     pair: ExponentPair,
     tol: float = 1e-9,
-    max_levels: int = 12,
 ) -> np.ndarray:
     """mean_ratio over many intervals in one pass, equal to it bit for bit.
 
@@ -1133,4 +1136,4 @@ def mean_ratios(
     QuadratureError scores -inf; any other error, such as a window
     leaving a table's data, is raised.
     """
-    return _scored_ratios(f, *_bounds(intervals), pair, tol, max_levels)
+    return _scored_ratios(f, *_bounds(intervals), pair, tol)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ExponentPair, NumericError, SearchConfig
+from .core import DomainError, ExponentPair, NumericError
 
 __all__ = [
     "PowerRhiReport",
@@ -56,6 +56,11 @@ __all__ = [
 # A curve maximum this close to 1 is treated as the flat case: the grid
 # maximum is reported at the left endpoint and no stationarity root applies.
 _FLAT_TOL = 1e-13
+
+# Uniform seed points of the shape-curve scan: the default and the most
+# accepted (the scan holds about a dozen float arrays of this length).
+EPS_GRID = 4096
+_EPS_GRID_MAX = 1 << 20
 
 
 def halfline_constant(pair: ExponentPair, gamma: float) -> float:
@@ -269,40 +274,44 @@ def _seed_grid(n: int) -> np.ndarray:
     return grid[np.append(True, grid[1:] != grid[:-1])]
 
 
-def _maximize_curves(pair: ExponentPair, gammas: list[float], cfg: SearchConfig):
+def _maximize_curves(pair: ExponentPair, gammas: list[float], eps_grid: int = EPS_GRID):
     """Yield (eps_star, curve_max) for each admissible gamma, in order.
 
-    The seed grid is built once per batch and scanned one gamma at a time,
-    keeping only the argmax, so memory grows with the grid plus the batch
-    and never with their product.  The golden sections of all non-flat
-    rows then run in lockstep (_golden_sections).  numpy gives an element
-    the same bits whatever the array length, so each row equals a batch of
-    one.  The Newton polish and its acceptance test run per row as the row
-    is yielded, so an error surfaces at its own row.
+    The seed grid, eps_grid uniform points plus a log tail, is built once
+    per batch and scanned one gamma at a time, keeping only the argmax, so
+    memory grows with the grid plus the batch and never with their
+    product.  The golden sections of all non-flat rows then run in
+    lockstep (_golden_sections).  numpy gives an element the same bits
+    whatever the array length, so each row equals a batch of one.  The
+    Newton polish and its acceptance test run per row as the row is
+    yielded, so an error surfaces at its own row.
     """
     if not gammas:
         return
-    grid = _seed_grid(cfg.eps_grid)
+    grid = _seed_grid(eps_grid)
     # The grid runs from exactly 0 to exactly 1, where the curve is 1, so
     # only its interior is scanned; an interior argmax above 1 is the
     # argmax of the whole grid.
     inner = grid[1:-1]
     ln, lne1 = np.log(inner), np.log1p(inner)
     orders = _orders(pair)
-    k = np.asarray(gammas) * orders + 1.0
     at = np.empty(len(gammas), dtype=np.intp)
     peak = np.empty(len(gammas))
-    for j in range(len(gammas)):
-        vals = _interior_curve(orders, k[:, j : j + 1], ln, lne1)
-        i = int(vals.argmax())
-        at[j], peak[j] = i + 1, vals[i]
-    live = np.flatnonzero(peak > 1.0 + _FLAT_TOL)
-    lo, hi = grid[at - 1], grid[at + 1]
-    x_gold, v_gold = np.zeros_like(peak), np.zeros_like(peak)
-    if live.size:
-        x_gold[live], v_gold[live] = _golden_sections(
-            orders, k[:, live], lo[live], hi[live]
-        )
+    # Quiet overflow: k * log(eps) reaches -inf only where eps**k is 0 in
+    # double, and an infinite k fails its report's half-line check.
+    with np.errstate(over="ignore"):
+        k = np.asarray(gammas) * orders + 1.0
+        for j in range(len(gammas)):
+            vals = _interior_curve(orders, k[:, j : j + 1], ln, lne1)
+            i = int(vals.argmax())
+            at[j], peak[j] = i + 1, vals[i]
+        live = np.flatnonzero(peak > 1.0 + _FLAT_TOL)
+        lo, hi = grid[at - 1], grid[at + 1]
+        x_gold, v_gold = np.zeros_like(peak), np.zeros_like(peak)
+        if live.size:
+            x_gold[live], v_gold[live] = _golden_sections(
+                orders, k[:, live], lo[live], hi[live]
+            )
     rows = zip(
         gammas, grid[at].tolist(), peak.tolist(), lo.tolist(), hi.tolist(),
         x_gold.tolist(), v_gold.tolist(),
@@ -320,16 +329,15 @@ def _maximize_curves(pair: ExponentPair, gammas: list[float], cfg: SearchConfig)
         if x_newt != eps_star:
             # x_newt lies strictly inside (lo_j, hi_j), within [0, 1].
             x = np.array([x_newt])
-            v_newt = float(_interior_curve(orders, k[:, j : j + 1], np.log(x), np.log1p(x))[0])
+            with np.errstate(over="ignore"):
+                v_newt = float(_interior_curve(orders, k[:, j : j + 1], np.log(x), np.log1p(x))[0])
             if v_newt >= curve_max * (1.0 - 1e-12):
                 eps_star, curve_max = x_newt, max(v_newt, curve_max)
         yield (0.0, 1.0) if curve_max <= 1.0 + _FLAT_TOL else (eps_star, curve_max)
 
 
-def maximize_curve(
-    pair: ExponentPair, gamma: float, cfg: SearchConfig | None = None
-) -> tuple[float, float]:
-    """Maximize the shape curve over [0, 1], as a batch of one.
+def maximize_curve(pair: ExponentPair, gamma: float) -> tuple[float, float]:
+    """Maximize the shape curve over [0, 1] on the default grid, as a batch of one.
 
     Returns (eps_star, curve_max).  A flat curve (gamma = 0, or so close
     that the maximum is within 1e-13 of 1) reports eps_star = 0 and
@@ -337,7 +345,7 @@ def maximize_curve(
     the result.
     """
     gamma = pair.require_gamma(gamma)
-    (result,) = _maximize_curves(pair, [gamma], cfg or SearchConfig())
+    (result,) = _maximize_curves(pair, [gamma])
     return result
 
 
@@ -382,19 +390,23 @@ class PowerRhiReport:
             raise NumericError("residual must be finite")
 
 
-def power_report(
-    pair: ExponentPair, gamma: float, cfg: SearchConfig | None = None
-) -> PowerRhiReport:
-    """Assemble constants, maximizer and residual for one pure power."""
-    return _power_reports(pair, [gamma], cfg)[0]
+def power_report(pair: ExponentPair, gamma: float, eps_grid: int = EPS_GRID) -> PowerRhiReport:
+    """Assemble constants, maximizer and residual for one pure power.
+
+    eps_grid, from 64 to 2**20 and checked before gamma, sizes the uniform
+    seed grid of the shape-curve scan.
+    """
+    if not 64 <= eps_grid <= _EPS_GRID_MAX:
+        raise DomainError(f"eps_grid must lie between 64 and {_EPS_GRID_MAX}")
+    return _power_reports(pair, [gamma], eps_grid)[0]
 
 
 def _power_reports(
-    pair: ExponentPair, gammas: list[float], cfg: SearchConfig | None = None
+    pair: ExponentPair, gammas: list[float], eps_grid: int = EPS_GRID
 ) -> list[PowerRhiReport]:
     """Power reports for a batch of exponents, maximized in one lockstep batch.
 
-    Equal to [power_report(pair, g, cfg) for g in gammas], errors included:
+    Equal to [power_report(pair, g, eps_grid) for g in gammas], errors included:
     the half-line constants are taken in order up to the first exponent
     that raises, the rows before it are reported (any of them may raise
     first), and only then is that exponent's error raised.
@@ -407,7 +419,7 @@ def _power_reports(
             failure = exc
             break
     valid = gammas[: len(hs)]
-    curves = _maximize_curves(pair, [float(g) for g in valid], cfg or SearchConfig())
+    curves = _maximize_curves(pair, [float(g) for g in valid], eps_grid)
     reports = []
     for gamma, h, (eps_star, curve_max) in zip(valid, hs, curves):
         applicable = 0.0 < eps_star < 1.0

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import classconst, generic, means, oracle, power
-from .core import ExponentPair, Interval, SearchConfig, gamma_domain
+from .core import DomainError, ExponentPair, Interval, gamma_domain
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
@@ -442,10 +442,10 @@ def _suite_class(seed: int) -> list[CheckResult]:
 def _suite_generic(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     pair12 = ExponentPair(1.0, 2.0)
-    cfg = SearchConfig(interval_grid=32)
+    grid = 32
     orc = oracle.OracleConfig()
 
-    est = generic.estimate_halfline(means.PowerLaw(1.0), pair12, cfg)
+    est = generic.estimate_halfline(means.PowerLaw(1.0), pair12, grid)
     want = power.halfline_constant(pair12, 1.0)
     out.append(
         CheckResult(
@@ -457,7 +457,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
 
     ok, detail = True, ""
     for f in (means.PowerLaw(0.5), means.AffinePower(1.0, 1.0, 1.0)):
-        est = generic.estimate_halfline(f, pair12, cfg)
+        est = generic.estimate_halfline(f, pair12, grid)
         brute = oracle.brute_halfline(f, pair12, orc)
         if abs(brute - est.value) > 1e-4 * est.value:
             ok, detail = False, f"{f.describe()}: brute {brute:.9g} vs {est.value:.9g}"
@@ -470,7 +470,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
         )
     )
 
-    est = generic.estimate_extension(means.PowerLaw(1.0), pair12, cfg)
+    est = generic.estimate_extension(means.PowerLaw(1.0), pair12, grid)
     want = power.power_report(pair12, 1.0).extension_constant
     out.append(
         CheckResult(
@@ -489,7 +489,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
         )
     )
 
-    est = generic.estimate_halfline(means.ExpDecay(1.0), pair12, cfg)
+    est = generic.estimate_halfline(means.ExpDecay(1.0), pair12, grid)
     re_eval = means.mean_ratio(means.ExpDecay(1.0), est.witness, pair12, generic.QUAD_TOL)
     out.append(
         CheckResult(
@@ -501,7 +501,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
     )
 
     f = means.AffinePower(1.0, 2.0, 0.5)
-    est = generic.estimate_extension(f, pair12, cfg)
+    est = generic.estimate_extension(f, pair12, grid)
     view = means.EvenExtensionView(f)
     mirrored = means.mean_ratio(
         view, Interval(-est.witness.hi, -est.witness.lo), pair12, generic.QUAD_TOL
@@ -516,7 +516,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
 
     ok, detail = True, ""
     for f in (means.PowerLaw(1.0), means.ExpDecay(1.0), means.AffinePower(2.0, 0.5, 1.0)):
-        rep = generic.extension_ratio(f, pair12, cfg)
+        rep = generic.extension_ratio(f, pair12, grid)
         if rep.ratio > rep.upper_bound + 1e-6:
             ok, detail = False, f"{f.describe()}: ratio {rep.ratio:.9g}"
             break
@@ -532,7 +532,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
     # grid maximum, and the oracle's own quadrature must confirm the witness.
     xs = np.linspace(0.5, 4.0, 24)
     table = means.SampledTable(xs, 2.0 + np.sin(3.0 * xs) + 0.3 * np.cos(7.0 * xs))
-    est = generic.estimate_halfline(table, pair12, cfg)
+    est = generic.estimate_halfline(table, pair12)
     brute = oracle.brute_halfline(table, pair12, orc)
     again = oracle.window_ratio(table, pair12, est.witness.lo, est.witness.hi, orc)
     out.append(
@@ -544,10 +544,8 @@ def _suite_generic(seed: int) -> list[CheckResult]:
         )
     )
 
-    one_d = generic.estimate_halfline(means.ExpDecay(1.0), pair12, cfg)
-    two_d = generic.estimate_halfline(
-        means.ExpDecay(1.0), pair12, cfg, use_reduction=False
-    )
+    one_d = generic.estimate_halfline(means.ExpDecay(1.0), pair12, grid)
+    two_d = generic._halfline_2d(means.ExpDecay(1.0), pair12, grid)
     out.append(
         CheckResult(
             "generic.monotone_reduction_loses_nothing",
@@ -569,6 +567,8 @@ _SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     """Run one named suite, or all of them in declaration order."""
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if name == "all":
         results: list[CheckResult] = []
         for suite in SUITE_NAMES:

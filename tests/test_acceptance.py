@@ -22,7 +22,6 @@ from rhiconst.classconst import (
 from rhiconst.core import (
     DataError,
     ExponentPair,
-    SearchConfig,
     gamma_domain,
 )
 from rhiconst.generic import estimate_halfline, extension_ratio
@@ -89,7 +88,7 @@ EXTENSION_COMBOS = [
 def test_halfline_estimates_match_closed_forms():
     start = time.monotonic()
     for pair, g in all_probe_combos():
-        est = estimate_halfline(PowerLaw(g), pair, SearchConfig())
+        est = estimate_halfline(PowerLaw(g), pair)
         truth = halfline_constant(pair, g)
         assert abs(est.value - truth) <= 1e-6 * truth, (pair, g, est.value, truth)
     assert time.monotonic() - start < 120.0
@@ -128,7 +127,7 @@ def test_extension_growth_never_exceeds_class_bound():
         (AffinePower(1.0, -0.5, 0.5), ExponentPair(-2.0, -0.5)),
     ]
     for f, pair in shaped:
-        ratios.append((pair, extension_ratio(f, pair, SearchConfig()).ratio))
+        ratios.append((pair, extension_ratio(f, pair).ratio))
 
     # Sampled tables join the suite on the half-line only: their even
     # extension is undefined near the origin and the estimator refuses it,
@@ -145,9 +144,9 @@ def test_extension_growth_never_exceeds_class_bound():
         ),
     ]
     for tbl, pair in tables:
-        assert estimate_halfline(tbl, pair, SearchConfig()).value >= 1.0
+        assert estimate_halfline(tbl, pair).value >= 1.0
         with pytest.raises(DataError):
-            extension_ratio(tbl, pair, SearchConfig())
+            extension_ratio(tbl, pair)
 
     assert len(ratios) == 48
     for pair, ratio in ratios:
@@ -262,7 +261,7 @@ REDUCTION_ROWS = [
 def test_origin_anchored_search_dominates_full_grid():
     for f, (a, b) in REDUCTION_ROWS:
         pair = ExponentPair(a, b)
-        est = estimate_halfline(f, pair, SearchConfig())
+        est = estimate_halfline(f, pair)
         brute = brute_halfline(f, pair, OracleConfig())
         assert brute <= est.value + 1e-4, (f.describe(), a, b, brute, est.value)
 

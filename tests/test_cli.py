@@ -80,6 +80,24 @@ def test_power_rejects_boundary_gamma(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("power", "--alpha", "1", "--beta", "2", "--gamma", "1e308"),
+        ("estimate", "--alpha", "-1", "--beta", "2", "--function", "pow:gamma=-0.49"),
+    ],
+    ids=["power-gamma-overflow", "estimate-nodes-underflow"],
+)
+def test_numeric_failures_print_no_numpy_warning(argv):
+    # A fresh process, so that numpy's warnings would reach stderr.
+    proc = subprocess.run(
+        [sys.executable, "-m", "rhiconst.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("numeric error:")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 def test_power_rejects_a_grid_too_large_to_allocate(capsys):
     code, out, err = run_cli(
         capsys, "power", "--alpha", "1", "--beta", "2", "--gamma", "1", "--grid", "1048577"
@@ -336,6 +354,22 @@ def test_table_beyond_double_range_is_numeric_error(tmp_path):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"\xff\xfe", "can't decode byte 0xff"),
+        (b"x,f\n1," + b"1" * 200_000 + b"\n", "field larger than field limit"),
+    ],
+    ids=["not-utf8", "field-too-long"],
+)
+def test_unreadable_table_is_data_error(capsys, tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(body)
+    code, out, err = run_cli(capsys, "estimate", "--alpha", "1", "--beta", "2", "--csv", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith("data error:") and message in err
+
+
 def test_estimate_table_extension_refused(capsys, tmp_path):
     path = write_table(tmp_path / "inc.csv", [(0.5, 1.0), (1.0, 2.0), (2.0, 5.0)])
     code, _, err = run_cli(
@@ -401,6 +435,12 @@ def test_verify_power_suite_passes(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("0 failed")
+
+
+def test_verify_negative_seed_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "means", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "domain error: seed must be nonnegative, got -1\n"
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

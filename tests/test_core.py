@@ -1,10 +1,11 @@
-"""Exponent pairs, admissible ranges and the shared config object."""
+"""Exponent pairs, admissible ranges, intervals and removed search options."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+import rhiconst
 from rhiconst.core import (
     BOUNDARY_MARGIN,
     Case,
@@ -12,7 +13,6 @@ from rhiconst.core import (
     ExponentPair,
     GammaDomain,
     Interval,
-    SearchConfig,
     classify_case,
     gamma_domain,
 )
@@ -148,27 +148,24 @@ def test_interval_validation_and_length():
         Interval(math.nan, 1.0)
 
 
-def test_search_config_validation():
-    cfg = SearchConfig()
-    assert cfg.interval_grid == 64
-    bad = [
-        dict(eps_grid=63),
-        dict(interval_grid=7),
+def test_search_config_and_budget_options_are_gone():
+    # Each search takes the one grid it reads, and the quadrature level
+    # budget is a constant of means: no config object, budget or reduction
+    # switch is accepted.
+    assert not hasattr(rhiconst, "SearchConfig")
+    pair, f, iv = ExponentPair(1.0, 2.0), rhiconst.PowerLaw(1.0), Interval(0.0, 1.0)
+    calls = [
+        lambda kw: rhiconst.power_report(pair, 1.0, **kw),
+        lambda kw: rhiconst.maximize_curve(pair, 1.0, **kw),
+        lambda kw: rhiconst.gamma_sweep(pair, [1.0], **kw),
+        lambda kw: rhiconst.estimate_halfline(f, pair, **kw),
+        lambda kw: rhiconst.estimate_extension(f, pair, **kw),
+        lambda kw: rhiconst.extension_ratio(f, pair, **kw),
+        lambda kw: rhiconst.quad_mean(f, iv, 1.0, **kw),
+        lambda kw: rhiconst.mean_ratio(f, iv, pair, **kw),
+        lambda kw: rhiconst.mean_ratios(f, [iv], pair, **kw),
     ]
-    for kwargs in bad:
-        with pytest.raises(DomainError):
-            SearchConfig(**kwargs)
-    # Tolerances, the scale window and the refinement budget are fixed in
-    # generic; the config no longer takes them.
-    gone = (
-        "quad_tol",
-        "quad_max_levels",
-        "scale_min",
-        "scale_max",
-        "refine_rounds",
-        "refine_shrink",
-        "converge_rtol",
-    )
-    for name in gone:
-        with pytest.raises(TypeError):
-            SearchConfig(**{name: 1.0})
+    for call in calls:
+        for name in ("cfg", "max_levels", "use_reduction"):
+            with pytest.raises(TypeError):
+                call({name: None})

@@ -14,7 +14,6 @@ from rhiconst.core import (
     Interval,
     NumericError,
     QuadratureError,
-    SearchConfig,
 )
 from rhiconst.generic import (
     EvenExtensionView,
@@ -39,11 +38,11 @@ R_12 = 1.224744871391589  # sqrt(3/2)
 
 # Trimmed grids keep the whole module under a few seconds; accuracy targets
 # below are far looser than what even these grids deliver.
-CFG = SearchConfig(interval_grid=32)
+GRID = 32
 
 
 def test_halfline_estimate_matches_closed_form():
-    est = estimate_halfline(PowerLaw(1.0), ExponentPair(1.0, 2.0), CFG)
+    est = estimate_halfline(PowerLaw(1.0), ExponentPair(1.0, 2.0), GRID)
     assert math.isclose(est.value, P_12, rel_tol=1e-6)
     assert est.converged
     assert est.witness.lo == 0.0
@@ -52,18 +51,18 @@ def test_halfline_estimate_matches_closed_form():
 def test_halfline_estimate_mixed_case_negative_gamma():
     pair = ExponentPair(-1.0, 1.0)
     rep = power_report(pair, -0.4)
-    est = estimate_halfline(PowerLaw(-0.4), pair, CFG)
+    est = estimate_halfline(PowerLaw(-0.4), pair, GRID)
     assert math.isclose(est.value, rep.halfline_constant, rel_tol=1e-6)
 
 
 def test_witness_reproduces_reported_value():
-    est = estimate_halfline(ExpDecay(1.0), ExponentPair(1.0, 2.0), CFG)
+    est = estimate_halfline(ExpDecay(1.0), ExponentPair(1.0, 2.0), GRID)
     again = mean_ratio(ExpDecay(1.0), est.witness, ExponentPair(1.0, 2.0))
     assert math.isclose(again, est.value, rel_tol=1e-9)
 
 
 def test_extension_estimate_matches_power_pipeline():
-    est = estimate_extension(PowerLaw(1.0), ExponentPair(1.0, 2.0), CFG)
+    est = estimate_extension(PowerLaw(1.0), ExponentPair(1.0, 2.0), GRID)
     assert math.isclose(est.value, R_12, rel_tol=1e-4)
     assert est.witness.lo < 0.0 < est.witness.hi
 
@@ -71,7 +70,7 @@ def test_extension_estimate_matches_power_pipeline():
 def test_extension_witness_straddles_and_reproduces():
     pair = ExponentPair(1.0, 2.0)
     f = AffinePower(1.0, 1.0, 1.0)
-    est = estimate_extension(f, pair, CFG)
+    est = estimate_extension(f, pair, GRID)
     view = EvenExtensionView(f)
     again = mean_ratio(view, est.witness, pair)
     assert math.isclose(again, est.value, rel_tol=1e-9)
@@ -81,7 +80,7 @@ def test_extension_witness_straddles_and_reproduces():
 
 def test_extension_ratio_against_proven_bound():
     for f in (PowerLaw(1.0), ExpDecay(1.0), AffinePower(2.0, 0.5, 1.0)):
-        rr = extension_ratio(f, ExponentPair(1.0, 2.0), CFG)
+        rr = extension_ratio(f, ExponentPair(1.0, 2.0), GRID)
         assert 1.0 - 1e-6 <= rr.ratio <= rr.upper_bound + 1e-6
         assert rr.upper_bound == 2.0
         assert math.isclose(
@@ -90,7 +89,7 @@ def test_extension_ratio_against_proven_bound():
 
 
 def test_extension_ratio_power_law_matches_closed_form():
-    rr = extension_ratio(PowerLaw(1.0), ExponentPair(1.0, 2.0), CFG)
+    rr = extension_ratio(PowerLaw(1.0), ExponentPair(1.0, 2.0), GRID)
     rep = power_report(ExponentPair(1.0, 2.0), 1.0)
     assert math.isclose(rr.ratio, rep.curve_max, rel_tol=1e-4)
 
@@ -98,16 +97,16 @@ def test_extension_ratio_power_law_matches_closed_form():
 def test_two_dimensional_search_never_beats_reduction():
     pair = ExponentPair(1.0, 2.0)
     f = ExpDecay(1.0)
-    one_d = estimate_halfline(f, pair, CFG)
-    two_d = estimate_halfline(f, pair, CFG, use_reduction=False)
+    one_d = estimate_halfline(f, pair, GRID)
+    two_d = generic._halfline_2d(f, pair, GRID)
     assert two_d.value <= one_d.value + 1e-4 * max(1.0, one_d.value)
 
 
 def test_estimates_agree_with_brute_force():
     pair = ExponentPair(1.0, 2.0)
     f = AffinePower(1.0, 1.0, 1.0)
-    est_p = estimate_halfline(f, pair, CFG)
-    est_r = estimate_extension(f, pair, CFG)
+    est_p = estimate_halfline(f, pair, GRID)
+    est_r = estimate_extension(f, pair, GRID)
     bp = brute_halfline(f, pair)
     br = brute_extension(f, pair)
     assert abs(est_p.value - bp) <= 1e-3 * bp
@@ -125,7 +124,7 @@ def test_monotone_table_gets_the_exhaustive_search():
     pair = ExponentPair(1.0, 2.0)
     for knots, values in tables:
         tbl = SampledTable(knots, values)
-        est = estimate_halfline(tbl, pair, CFG)
+        est = estimate_halfline(tbl, pair)
         assert tbl.domain[0] <= est.witness.lo < est.witness.hi <= tbl.domain[1]
         again = quad_mean(tbl, est.witness, 2.0).value / quad_mean(tbl, est.witness, 1.0).value
         assert math.isclose(again, est.value, rel_tol=1e-12)
@@ -179,7 +178,7 @@ def test_table_search_reaches_every_knot_pair_and_the_oracle(case):
 def test_table_without_declared_monotonicity_gets_full_search():
     xs = np.linspace(0.5, 4.0, 80)
     tbl = SampledTable(xs, np.sin(xs) + 2.0)
-    est = estimate_halfline(tbl, ExponentPair(1.0, 2.0), CFG)
+    est = estimate_halfline(tbl, ExponentPair(1.0, 2.0))
     assert est.value >= 1.0
     assert est.witness.lo >= 0.5 and est.witness.hi <= 4.0
 
@@ -196,9 +195,7 @@ def test_table_without_declared_monotonicity_gets_full_search():
             (1.275117068507732, 0.0, 999.9999999999998, 73, True),
         ),
         (
-            lambda: estimate_halfline(
-                ExpDecay(1.0), ExponentPair(1.0, 2.0), use_reduction=False
-            ),
+            lambda: generic._halfline_2d(ExpDecay(1.0), ExponentPair(1.0, 2.0)),
             (22.360679774998193, 68.97785379387658, 1068.9778537938764, 4177, True),
         ),
         (
@@ -303,17 +300,15 @@ def _inner_knots(iv: Interval) -> int:
         # Offset 1 keeps f regular at 0 (substitution exponent p = 1);
         # offset 0 with gamma < 0 makes it singular there (p != 1).
         (
-            lambda: estimate_extension(AffinePower(2.0, 0.5, 1.0), ExponentPair(1.0, 2.0), CFG),
+            lambda: estimate_extension(AffinePower(2.0, 0.5, 1.0), ExponentPair(1.0, 2.0), GRID),
             lambda ivs, scores: any(iv.lo < 0.0 < iv.hi for iv in ivs),
         ),
         (
-            lambda: estimate_extension(AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0), CFG),
+            lambda: estimate_extension(AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0), GRID),
             lambda ivs, scores: any(iv.lo < 0.0 < iv.hi for iv in ivs),
         ),
         (
-            lambda: estimate_halfline(
-                ExpDecay(1.0), ExponentPair(1.0, 2.0), CFG, use_reduction=False
-            ),
+            lambda: generic._halfline_2d(ExpDecay(1.0), ExponentPair(1.0, 2.0), GRID),
             lambda ivs, scores: (
                 np.isneginf(scores).any()
                 and any(_interior(iv, True) for iv in ivs)
@@ -321,7 +316,7 @@ def _inner_knots(iv: Interval) -> int:
             ),
         ),
         (
-            lambda: estimate_halfline(BUMPY_TABLE, ExponentPair(-1.0, 1.0), CFG),
+            lambda: estimate_halfline(BUMPY_TABLE, ExponentPair(-1.0, 1.0)),
             lambda ivs, scores: (
                 any(_inner_knots(iv) == 0 for iv in ivs)
                 and any(_inner_knots(iv) >= 2 for iv in ivs)
@@ -339,20 +334,20 @@ def test_batched_scores_equal_scalar_loop(monkeypatch, search, covers):
     batches = []
     scored = generic._scored_ratios
 
-    def recording(f, lo, hi, pair, tol, levels):
-        got = scored(f, lo, hi, pair, tol, levels)
+    def recording(f, lo, hi, pair, tol):
+        got = scored(f, lo, hi, pair, tol)
         intervals = [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-        batches.append((f, intervals, pair, tol, levels, got))
+        batches.append((f, intervals, pair, tol, got))
         return got
 
     monkeypatch.setattr(generic, "_scored_ratios", recording)
     search()
     assert len(batches) > 1
-    for f, intervals, pair, tol, levels, got in batches:
+    for f, intervals, pair, tol, got in batches:
         want = []
         for interval in intervals:
             try:
-                want.append(mean_ratio(f, interval, pair, tol, levels))
+                want.append(mean_ratio(f, interval, pair, tol))
             except (DomainError, NumericError, QuadratureError):
                 want.append(-math.inf)
         assert got.tolist() == want
@@ -458,9 +453,9 @@ def test_table_search_scores_one_pass_per_round(monkeypatch):
     sizes = []
     scored = generic._scored_ratios
 
-    def recording(f, lo, hi, pair, tol, levels):
+    def recording(f, lo, hi, pair, tol):
         sizes.append(len(lo))
-        return scored(f, lo, hi, pair, tol, levels)
+        return scored(f, lo, hi, pair, tol)
 
     monkeypatch.setattr(generic, "_scored_ratios", recording)
     estimate_halfline(_wavy_table(3, 360), ExponentPair(-1.0, 1.0))
@@ -520,9 +515,7 @@ def test_polish_next_to_a_better_pair_counts():
     a = np.linspace(0.7081, 2.433, 401)
     lo, hi = np.meshgrid(a, a, indexing="ij")
     inside = lo < hi
-    dense = generic._scored_ratios(
-        tbl, lo[inside], hi[inside], pair, generic.QUAD_TOL, generic._QUAD_MAX_LEVELS
-    )
+    dense = generic._scored_ratios(tbl, lo[inside], hi[inside], pair, generic.QUAD_TOL)
     assert est.value >= dense.max()
 
 
@@ -538,17 +531,41 @@ def test_table_extension_is_rejected():
     xs = np.linspace(0.5, 8.0, 60)
     tbl = SampledTable(xs, xs.copy())
     with pytest.raises(DataError):
-        estimate_extension(tbl, ExponentPair(1.0, 2.0), CFG)
+        estimate_extension(tbl, ExponentPair(1.0, 2.0))
 
 
 def test_even_extension_input_is_rejected():
     with pytest.raises(DomainError):
-        estimate_extension(EvenExtensionView(PowerLaw(1.0)), ExponentPair(1.0, 2.0), CFG)
+        estimate_extension(EvenExtensionView(PowerLaw(1.0)), ExponentPair(1.0, 2.0), GRID)
+
+
+def test_interval_grid_is_checked_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(generic, "_search", no_search)
+    pair, tbl = ExponentPair(1.0, 2.0), SampledTable(np.linspace(1.0, 2.0, 5), np.ones(5))
+    # Inputs that pass their own checks and inputs that fail them: the grid
+    # is checked first either way.
+    calls = [
+        lambda g: estimate_halfline(ExpDecay(1.0), pair, g),
+        lambda g: estimate_halfline(tbl, pair, g),
+        lambda g: estimate_halfline(PowerLaw(-0.6), pair, g),
+        lambda g: estimate_extension(PowerLaw(1.0), pair, g),
+        lambda g: estimate_extension(tbl, pair, g),
+        lambda g: extension_ratio(ExpDecay(1.0), pair, g),
+        lambda g: extension_ratio(EvenExtensionView(PowerLaw(1.0)), pair, g),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="interval_grid must be at least 8"):
+            call(7)
+    with pytest.raises(AssertionError, match="a search ran"):
+        estimate_halfline(ExpDecay(1.0), pair, 8)
 
 
 def test_non_summable_input_is_rejected():
     with pytest.raises(DomainError):
-        estimate_halfline(PowerLaw(-0.6), ExponentPair(1.0, 2.0), CFG)
+        estimate_halfline(PowerLaw(-0.6), ExponentPair(1.0, 2.0), GRID)
 
 
 def test_negative_orders_require_strict_positivity():
@@ -557,7 +574,7 @@ def test_negative_orders_require_strict_positivity():
     fs[10] = 0.0
     tbl = SampledTable(xs, fs)
     with pytest.raises(DomainError):
-        estimate_halfline(tbl, ExponentPair(-1.0, 1.0), CFG)
+        estimate_halfline(tbl, ExponentPair(-1.0, 1.0))
 
 
 def test_supremum_estimate_validation():

@@ -188,8 +188,8 @@ def test_beta_mean_is_evaluated_first():
     assert got[1:].tolist() == mean_ratios(alone, batch[1:], pair).tolist()
     # Both means of the other interval keep their bits.
     orders, tol = (pair.beta, pair.alpha), 1e-9 / 3.0
-    with_failing = means._means(RecordingDecay(), *means._bounds(batch), orders, tol, True, 12)
-    without = means._means(RecordingDecay(), *means._bounds(batch[1:]), orders, tol, True, 12)
+    with_failing = means._means(RecordingDecay(), *means._bounds(batch), orders, tol, True)
+    without = means._means(RecordingDecay(), *means._bounds(batch[1:]), orders, tol, True)
     for (values, diffs, _), (want, want_diffs, _) in zip(with_failing, without):
         assert (values[1], diffs[1]) == (want[0], want_diffs[0])
     # The failing interval is the only piece far from 0: its nodes are in
@@ -548,11 +548,11 @@ def _separate_passes(f, intervals, pair: ExponentPair) -> list[int]:
     lo, hi = means._bounds(intervals)
     calls = []
     f.sizes.clear()
-    [(_, _, errors)] = means._means(f, lo, hi, (pair.beta,), 1e-9 / 3.0, True, 12)
+    [(_, _, errors)] = means._means(f, lo, hi, (pair.beta,), 1e-9 / 3.0, True)
     calls.append(len(f.sizes))
     rest = np.array([i not in errors for i in range(len(lo))])
     f.sizes.clear()
-    means._means(f, lo[rest], hi[rest], (pair.alpha,), 1e-9 / 3.0, True, 12)
+    means._means(f, lo[rest], hi[rest], (pair.alpha,), 1e-9 / 3.0, True)
     calls.append(len(f.sizes))
     return calls
 
@@ -595,7 +595,7 @@ def test_shared_pass_calls_power_values_no_more_than_separate_passes():
     separate = 0
     for order in (pair.beta, pair.alpha):
         g = RecordingRoot()
-        means._means(g, lo, hi, (order,), 1e-9 / 3.0, True, 12)
+        means._means(g, lo, hi, (order,), 1e-9 / 3.0, True)
         separate += len(g.nodes[order])
     got = mean_ratios(f, intervals, pair)
     assert sum(map(len, f.nodes.values())) <= separate
@@ -613,9 +613,10 @@ def test_batch_raises_errors_other_than_failed_evaluations():
     assert failed[0] == -math.inf and math.isfinite(failed[1])
 
 
-def test_quadrature_budget_exhaustion():
-    with pytest.raises(QuadratureError):
-        quad_mean(PowerLaw(-0.99), Interval(0.0, 1.0), 1.0, tol=1e-13, max_levels=2)
+def test_quadrature_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(means, "_QUAD_MAX_LEVELS", 2)
+    with pytest.raises(QuadratureError, match="within 2 refinement levels"):
+        quad_mean(PowerLaw(-0.99), Interval(0.0, 1.0), 1.0, tol=1e-13)
 
 
 def test_mean_overflow_is_reported():
@@ -661,11 +662,14 @@ def test_table_from_csv_round_trip(tmp_path):
         "x,f\n1.0\n",  # missing column
         "x,f\none,2.0\n",  # non-numeric
         "x,f\n",  # no data rows
+        pytest.param(b"\xff\xfe", id="not-utf8"),
+        # Longer than the csv module's field limit of 131 072 characters.
+        pytest.param("x,f\n1," + "1" * 200_000 + "\n", id="field-too-long"),
     ],
 )
 def test_table_from_csv_rejects_malformed_input(tmp_path, body):
     path = tmp_path / "bad.csv"
-    path.write_text(body)
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
     with pytest.raises(DataError):
         table_from_csv(str(path))
 

@@ -168,6 +168,17 @@ def test_power_report_fields_are_consistent():
     assert flat.extension_constant == flat.halfline_constant
 
 
+def test_eps_grid_bounds():
+    pair = ExponentPair(1.0, 2.0)
+    for grid in (63, 2**20 + 1):
+        with pytest.raises(DomainError, match="eps_grid must lie between 64 and 1048576"):
+            power_report(pair, 1.0, eps_grid=grid)
+        # The grid is checked before gamma.
+        with pytest.raises(DomainError, match="eps_grid"):
+            power_report(pair, -5.0, eps_grid=grid)
+    assert power_report(pair, 1.0, eps_grid=64).eps_star > 0.0
+
+
 def test_report_validation_rejects_inconsistent_fields():
     rep = power_report(ExponentPair(1.0, 2.0), 1.0)
     with pytest.raises(NumericError):
