@@ -59,7 +59,7 @@ from .means import (
     quad_mean,
     table_from_csv,
 )
-from .oracle import OracleConfig, brute_extension, brute_halfline, brute_max_curve
+from .oracle import brute_extension, brute_halfline, brute_max_curve
 from .power import (
     PowerRhiReport,
     curve_values,
@@ -89,7 +89,6 @@ __all__ = [
     "MeanValue",
     "Monotonicity",
     "NumericError",
-    "OracleConfig",
     "PowerLaw",
     "PowerRhiReport",
     "QuadratureError",

@@ -19,10 +19,12 @@ Reductions from the structure of the input shrink the search space:
 
 Analytic inputs of unknown monotonicity get the full two-dimensional
 (start, width) search, which is also the reference the origin-anchored
-reduction is checked against.  Sampled tables get no reduction: their
-means are exact (means.py), so every window between two knots is scored,
-and the best knot pairs are then polished with both ends free inside the
-neighbouring stretches.
+reduction is checked against.  Every analytic search seeds _INTERVAL_GRID
+points per axis; no caller sizes it, so verify checks the searches that
+estimate runs.  Sampled tables get no reduction: their means are exact
+(means.py), so every window between two knots is scored (at its own
+scale when its sum underflows at the table's), and the best knot pairs
+are then polished with both ends free inside the neighbouring stretches.
 
 Every search runs on one engine, _grid_refine, which refines many
 independent searches in lockstep; an analytic search is a batch of one.
@@ -47,12 +49,14 @@ from .core import (
     NumericError,
 )
 from .means import (
+    _SMALL_SUM,
     EvenExtensionView,
     FunctionSpec,
     Monotonicity,
     PowerLaw,
     SampledTable,
     _knot_integrals,
+    _scaled_window_sums,
     _scored_ratios,
     mean_ratio,
 )
@@ -78,7 +82,9 @@ _EPS_TAIL_FLOOR = 1e-6
 _SCORE_SLICE = 512
 
 # Most knot pairs held at once by the exhaustive table scan, or one row
-# of knot pairs if it is longer.
+# of knot pairs if it is longer; also the most stretches summed at once
+# when the scan sums windows again at their own scale, or one window if
+# it is longer.
 _SCAN_BLOCK = 1 << 14
 
 # Knot pairs considered for the polish after the scan, seeds per stretch
@@ -159,8 +165,8 @@ class ExtensionRatio:
 # shrinking its brackets by _REFINE_SHRINK each, and stops after a round
 # that gains less than _CONVERGE_RTOL (relative).  The analytic searches
 # seed widths, right ends and nonzero starts log-uniformly over
-# [_SCALE_MIN, _SCALE_MAX], interval_grid seeds per axis: _INTERVAL_GRID
-# unless the caller sizes it, at least 8.
+# [_SCALE_MIN, _SCALE_MAX], _INTERVAL_GRID seeds per axis, read when a
+# search starts.
 
 QUAD_TOL = 1e-8
 _INTERVAL_GRID = 64
@@ -332,11 +338,6 @@ def _log_scale_seeds(n: int) -> np.ndarray:
     return np.linspace(math.log(_SCALE_MIN), math.log(_SCALE_MAX), n)
 
 
-def _check_grid(interval_grid: int) -> None:
-    if interval_grid < 8:
-        raise DomainError("interval_grid must be at least 8")
-
-
 def _check_input(f: FunctionSpec, pair: ExponentPair) -> None:
     lo, _ = f.domain
     if lo < 0.0:
@@ -364,12 +365,12 @@ def _scan_knot_pairs(table: SampledTable, pair: ExponentPair):
     Row i holds the windows (xs[i], xs[j]) for j > i; their integrals are
     cumulative sums of the exact stretch terms from knot i on, so every
     sum starts at its window's left knot and adds positive terms.  The
-    terms use the table's scale (means._knot_integrals), so a window
-    whose terms all lie some 1e-300 below it cannot be ranked, and a table
-    none of whose windows can be ranked raises NumericError.  Rows are
-    taken in blocks of at most _SCAN_BLOCK pairs, or one row if it is
-    longer.  Returns the _POLISH_PAIRS best (i, j), best first, and the
-    number of pairs scored.
+    terms use the table's scale (means._knot_integrals); a window whose
+    sum in either order is too small there is summed again at its own
+    scale (_own_scale_sums), as the polish does.  A table none of whose
+    windows can be ranked raises NumericError.  Rows are taken in blocks
+    of at most _SCAN_BLOCK pairs, or one row if it is longer.  Returns the
+    _POLISH_PAIRS best (i, j), best first, and the number of pairs scored.
     """
     xs, m = table.xs, len(table.xs) - 1
     ca, ta = _knot_integrals(table, pair.alpha)
@@ -390,9 +391,20 @@ def _scan_knot_pairs(table: SampledTable, pair: ExponentPair):
         sa = np.cumsum(np.where(inside, ta[k], 0.0), axis=1)
         sb = np.cumsum(np.where(inside, tb[k], 0.0), axis=1)
         width = xs[k + 1][None, :] - xs[rows][:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             score = np.log(sb) / pair.beta - np.log(sa) / pair.alpha
             score += shift + tilt * np.log(width)
+            redo = inside & ~(np.minimum(sa, sb) >= _SMALL_SUM * width)
+            if redo.any():
+                ri, cj = np.nonzero(redo)
+                i, j, w = rows[ri], k[cj] + 1, width[ri, cj]
+                logm = []
+                for order, scale, s in ((pair.alpha, ca, sa), (pair.beta, cb, sb)):
+                    scales, sums = np.full(len(i), scale), s[ri, cj]
+                    small = ~(sums >= _SMALL_SUM * w)
+                    scales[small], sums[small] = _own_scale_sums(table, i[small], j[small], order)
+                    logm.append(np.log(scales) + np.log(sums) / order)
+                score[ri, cj] = logm[1] - logm[0] + tilt * np.log(w)
         score[~inside | np.isnan(score)] = -math.inf
         top = np.argpartition(score, -min(_POLISH_PAIRS, score.size), axis=None)
         top = top[-_POLISH_PAIRS:]
@@ -407,6 +419,21 @@ def _scan_knot_pairs(table: SampledTable, pair: ExponentPair):
     if not found.any():
         raise NumericError("no window of the table has finite means")
     return list(zip(best_i[found].tolist(), best_j[found].tolist())), m * (m + 1) // 2
+
+
+def _own_scale_sums(table: SampledTable, i: np.ndarray, j: np.ndarray, order: float):
+    """means._scaled_window_sums of the windows (xs[i], xs[j]), taken at
+    most _SCAN_BLOCK stretches at a time, or one window if it is longer."""
+    xs = table.xs
+    scales, sums = np.empty(len(i)), np.empty(len(i))
+    ends = np.cumsum(j - i)
+    a = 0
+    while a < len(i):
+        done = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, done + _SCAN_BLOCK, "right")))
+        scales[a:b], sums[a:b] = _scaled_window_sums(table, xs[i[a:b]], xs[j[a:b]], order)
+        a = b
+    return scales, sums
 
 
 def _knot_seeds(xs: np.ndarray, k: int) -> np.ndarray:
@@ -436,43 +463,40 @@ def _search_table(table: SampledTable, pair: ExponentPair) -> SupremumEstimate:
     return _best(table, pair, found, evals)
 
 
-def _halfline_2d(f: FunctionSpec, pair: ExponentPair, n: int = _INTERVAL_GRID) -> SupremumEstimate:
-    """Full (start, width) search of an analytic input, n seeds per axis.
+def _halfline_2d(f: FunctionSpec, pair: ExponentPair) -> SupremumEstimate:
+    """Full (start, width) search of an analytic input.
 
     Starts are linear so a 0 anchor can participate; widths are logs over
-    the scale window.  The caller checks the grid and the input.
+    the scale window.  The caller checks the input.
     """
 
     def window(points: np.ndarray):
         return points[:, 0], points[:, 0] + _exp(points[:, 1])
 
+    n = _INTERVAL_GRID
     starts = np.concatenate(([0.0], np.geomspace(_SCALE_MIN, _SCALE_MAX, n - 1)))
     return _best(f, pair, _search(f, pair, window, [[starts, _log_scale_seeds(n)]]))
 
 
-def estimate_halfline(
-    f: FunctionSpec, pair: ExponentPair, interval_grid: int = _INTERVAL_GRID
-) -> SupremumEstimate:
+def estimate_halfline(f: FunctionSpec, pair: ExponentPair) -> SupremumEstimate:
     """Searched lower bound on the half-line mean-ratio supremum.
 
-    interval_grid, at least 8, is the number of seeds per search axis; it
-    is checked before anything else.  A table gets the exhaustive
-    knot-pair scan and polish, seeded at its knots, not on the grid.
-    Monotone analytic inputs use the one-dimensional origin-anchored
-    family, other analytic inputs the full (start, width) search.
+    A table gets the exhaustive knot-pair scan and polish, seeded at its
+    knots.  Monotone analytic inputs use the one-dimensional
+    origin-anchored family, other analytic inputs the full (start, width)
+    search, each with _INTERVAL_GRID seeds per axis.
     """
-    _check_grid(interval_grid)
     _check_input(f, pair)
     if isinstance(f, SampledTable):
         return _search_table(f, pair)
     if f.monotonicity is Monotonicity.UNKNOWN:
-        return _halfline_2d(f, pair, interval_grid)
+        return _halfline_2d(f, pair)
 
     def anchored(points: np.ndarray):
         # +0.0 on every row: 0.0 * w would give -0.0 for w < 0.
         return np.zeros(len(points)), _exp(points[:, 0])
 
-    return _best(f, pair, _search(f, pair, anchored, [[_log_scale_seeds(interval_grid)]]))
+    return _best(f, pair, _search(f, pair, anchored, [[_log_scale_seeds(_INTERVAL_GRID)]]))
 
 
 # ---------------------------------------------------------------------------
@@ -501,17 +525,13 @@ def _check_extension_input(f: FunctionSpec, pair: ExponentPair) -> None:
     _check_input(f, pair)
 
 
-def estimate_extension(
-    f: FunctionSpec, pair: ExponentPair, interval_grid: int = _INTERVAL_GRID
-) -> SupremumEstimate:
+def estimate_extension(f: FunctionSpec, pair: ExponentPair) -> SupremumEstimate:
     """Searched lower bound on the mean-ratio supremum of the even extension.
 
     Only straddling shapes (-eps*b, b) need to be searched.  Pure powers
     drop the b axis by scale invariance.  Tables are rejected: their even
-    extension is undefined on the gap around the origin.  interval_grid
-    is checked first, as in estimate_halfline.
+    extension is undefined on the gap around the origin.
     """
-    _check_grid(interval_grid)
     _check_extension_input(f, pair)
     extended = EvenExtensionView(f)
 
@@ -520,27 +540,23 @@ def estimate_extension(
         b = _exp(points[:, 1]) if points.shape[1] > 1 else np.ones(len(points))
         return -points[:, 0] * b, b
 
-    eps_seeds = _eps_seeds(interval_grid)
+    eps_seeds = _eps_seeds(_INTERVAL_GRID)
     if isinstance(f, PowerLaw):
         return _best(extended, pair, _search(extended, pair, straddle, [[eps_seeds]]))
-    bseeds = _log_scale_seeds(interval_grid)
+    bseeds = _log_scale_seeds(_INTERVAL_GRID)
     return _best(extended, pair, _search(extended, pair, straddle, [[eps_seeds, bseeds]]))
 
 
-def extension_ratio(
-    f: FunctionSpec, pair: ExponentPair, interval_grid: int = _INTERVAL_GRID
-) -> ExtensionRatio:
+def extension_ratio(f: FunctionSpec, pair: ExponentPair) -> ExtensionRatio:
     """Growth of the supremum under even extension, checked against the bound.
 
     Both searches must converge; the ratio of two unsettled lower bounds
-    says nothing and is refused rather than reported.  interval_grid is
-    checked first, and an input without an even extension is refused
-    before either search runs.
+    says nothing and is refused rather than reported.  An input without an
+    even extension is refused before either search runs.
     """
-    _check_grid(interval_grid)
     _check_extension_input(f, pair)
-    halfline = estimate_halfline(f, pair, interval_grid)
-    extension = estimate_extension(f, pair, interval_grid)
+    halfline = estimate_halfline(f, pair)
+    extension = estimate_extension(f, pair)
     if not (halfline.converged and extension.converged):
         raise NumericError("supremum searches did not converge; ratio withheld")
     return ExtensionRatio(

@@ -730,6 +730,11 @@ def _windows(table: SampledTable, lo: np.ndarray, hi: np.ndarray) -> _Windows:
     return _Windows(lo, hi, x1 - x0, u, v, runs)
 
 
+# A window sum this far below the window's width may have lost terms to
+# underflow at the table's scale (the table scan uses the same rule).
+_SMALL_SUM = 1e-200
+
+
 def _window_sums(table: SampledTable, windows: _Windows, order: float):
     """(scales, sums): the integral of f**order over window i is
     scales[i]**order * sums[i], exact up to rounding.
@@ -752,8 +757,7 @@ def _window_sums(table: SampledTable, windows: _Windows, order: float):
         inner[rows] = np.cumsum(terms[start:stop])[at]
     sums = (terms[m : m + n] + inner) + terms[m + n :]
     scales = np.full(n, scale)
-    # A sum this far below its width may have lost terms to underflow.
-    small = ~(sums >= 1e-200 * (hi - lo))
+    small = ~(sums >= _SMALL_SUM * (hi - lo))
     if small.any():
         scales[small], sums[small] = _scaled_window_sums(table, lo[small], hi[small], order)
     return scales, sums

@@ -13,12 +13,14 @@ pure power that ratio is exactly 2**-(s+1) per octave, making the tail
 sum exact.  Interior intervals get fixed panel counts, knot-aligned for
 sampled tables.
 
-Grids nest under doubling: endpoint grids are lo*(hi/lo)**(k/n) for
-k = 0..n, so the n-point grid is a subset of the 2n-point grid and a
-finer brute-force run can only see more intervals.  The width axis
-carries 13n/8 points; the incommensurate count keeps endpoint ratios
-a/b from collapsing onto a coarse common lattice while still nesting
-when n doubles.
+The resolution is fixed: _INTERVAL_GRID endpoints per axis and
+_QUAD_PANELS panels per integral, the oracle's own constants, set by no
+caller.  Grids nest under doubling: endpoint grids are
+lo*(hi/lo)**(k/n) for k = 0..n, so the n-point grid is a subset of the
+2n-point grid and a finer brute-force run can only see more intervals.
+The width axis carries 13n/8 points; the incommensurate count keeps
+endpoint ratios a/b from collapsing onto a coarse common lattice while
+still nesting when n doubles.
 
 Cells whose integrals leave double range (overflow or total underflow)
 are dropped from the maximum rather than patched; the reference suites
@@ -28,7 +30,6 @@ keep their suprema well inside range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .core import (
 from .means import FunctionSpec, SampledTable
 
 __all__ = [
-    "OracleConfig",
     "brute_extension",
     "brute_halfline",
     "brute_max_curve",
@@ -56,29 +56,17 @@ _GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _SCALE_LO = 1e-3
 _SCALE_HI = 1e3
 
+# Endpoints per axis and Gauss-Legendre panels per integral.  The
+# endpoint count stays a multiple of _WIDTH_DEN, so the 13n/8 width count
+# is integral and doubled grids nest.
+_INTERVAL_GRID = 64
+_QUAD_PANELS = 64
 _WIDTH_NUM = 13
 _WIDTH_DEN = 8
 
 # Octave decay ratios this close to 1 mean the near-origin mass decays
 # too slowly for the geometric tail sum to be trusted.
 _TAIL_RHO_LIMIT = 0.999
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Resolution knobs; all counts are floors, never tolerances."""
-
-    interval_grid: int = 64
-    quad_panels: int = 64
-
-    def __post_init__(self) -> None:
-        for name in ("interval_grid", "quad_panels"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 64:
-                raise DomainError(f"{name} must be an integer of at least 64")
-        if self.interval_grid % _WIDTH_DEN:
-            # Keeps the 13n/8 width count integral, so doubled grids nest.
-            raise DomainError("interval_grid must be a multiple of 8")
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +160,14 @@ def _log_ratio(f, pair, lo: float, hi: float, length: float, panels: int) -> flo
     return lb - la
 
 
+def _ratio(logr: float) -> float:
+    """exp(logr), a NumericError when the ratio leaves double range."""
+    try:
+        return math.exp(logr)
+    except OverflowError:
+        raise NumericError("the mean ratio overflows double range") from None
+
+
 # ---------------------------------------------------------------------------
 # Grids and validation
 # ---------------------------------------------------------------------------
@@ -210,16 +206,13 @@ def _validate(f: FunctionSpec, pair: ExponentPair) -> None:
 # ---------------------------------------------------------------------------
 
 
-def brute_halfline(
-    f: FunctionSpec, pair: ExponentPair, cfg: OracleConfig | None = None
-) -> float:
+def brute_halfline(f: FunctionSpec, pair: ExponentPair) -> float:
     """Max mean ratio over an exhaustive (start, width) grid on the half-line."""
-    cfg = cfg or OracleConfig()
     _validate(f, pair)
-    starts = np.concatenate(([0.0], _endpoint_grid(cfg.interval_grid)))
-    widths = _endpoint_grid(cfg.interval_grid * _WIDTH_NUM // _WIDTH_DEN)
+    starts = np.concatenate(([0.0], _endpoint_grid(_INTERVAL_GRID)))
+    widths = _endpoint_grid(_INTERVAL_GRID * _WIDTH_NUM // _WIDTH_DEN)
     dom_lo, dom_hi = f.domain
-    panels = cfg.quad_panels
+    panels = _QUAD_PANELS
 
     def row_best(start: float) -> float:
         best = -math.inf
@@ -235,27 +228,22 @@ def brute_halfline(
     best = max(row_best(start) for start in starts)
     if not math.isfinite(best):
         raise NumericError("no admissible interval produced finite means")
-    return math.exp(best)
+    return _ratio(best)
 
 
-def window_ratio(
-    f: FunctionSpec, pair: ExponentPair, lo: float, hi: float, cfg: OracleConfig | None = None
-) -> float:
+def window_ratio(f: FunctionSpec, pair: ExponentPair, lo: float, hi: float) -> float:
     """Mean ratio over one half-line window by the fixed-panel quadrature."""
-    cfg = cfg or OracleConfig()
     _validate(f, pair)
     dom_lo, dom_hi = f.domain
     if not dom_lo <= lo < hi <= dom_hi:
         raise DomainError(f"window ({lo:g}, {hi:g}) leaves the domain [{dom_lo:g}, {dom_hi:g}]")
-    logr = _log_ratio(f, pair, lo, hi, hi - lo, cfg.quad_panels)
+    logr = _log_ratio(f, pair, lo, hi, hi - lo, _QUAD_PANELS)
     if math.isnan(logr):
         raise NumericError("a mean over the window left double range")
-    return math.exp(logr)
+    return _ratio(logr)
 
 
-def brute_extension(
-    f: FunctionSpec, pair: ExponentPair, cfg: OracleConfig | None = None
-) -> float:
+def brute_extension(f: FunctionSpec, pair: ExponentPair) -> float:
     """Max mean ratio of the even extension over exhaustive (-depth, right) grids.
 
     Both one-sided shapes (depth 0) and lopsided straddles in either
@@ -263,14 +251,13 @@ def brute_extension(
     Integrals reduce to pairs of cached origin-anchored integrals, which
     is an identity of the even extension, not a search shortcut.
     """
-    cfg = cfg or OracleConfig()
     if isinstance(f, SampledTable):
         raise DataError("even extension of a sampled table is undefined near the origin")
     _validate(f, pair)
-    depths = np.concatenate(([0.0], _endpoint_grid(cfg.interval_grid)))
-    rights = _endpoint_grid(cfg.interval_grid * _WIDTH_NUM // _WIDTH_DEN)
+    depths = np.concatenate(([0.0], _endpoint_grid(_INTERVAL_GRID)))
+    rights = _endpoint_grid(_INTERVAL_GRID * _WIDTH_NUM // _WIDTH_DEN)
     ts = _sorted_unique(np.concatenate((depths, rights)))
-    panels = cfg.quad_panels
+    panels = _QUAD_PANELS
 
     def cumulative(order: float) -> np.ndarray:
         out = np.empty(ts.size)
@@ -292,7 +279,7 @@ def brute_extension(
     finite = np.isfinite(logr)
     if not finite.any():
         raise NumericError("no admissible interval produced finite means")
-    return math.exp(float(np.max(logr[finite])))
+    return _ratio(float(np.max(logr[finite])))
 
 
 def brute_max_curve(pair: ExponentPair, gamma: float, n: int) -> tuple[float, float]:

@@ -1,10 +1,11 @@
 """Self-check suites pitting each module against an independent reference.
 
 Closed forms are checked against quadrature, searches against brute-force
-grids, and proven inequalities against random admissible inputs.  Every
-check is deterministic for a fixed seed.  A failing check never raises;
-it comes back as a CheckResult with passed=False so a whole suite can be
-reported in one table.
+grids, and proven inequalities against random admissible inputs.  The
+searches run exactly as the estimate command runs them, and the oracle at
+its one fixed resolution.  Every check is deterministic for a fixed seed.
+A failing check never raises; it comes back as a CheckResult with
+passed=False so a whole suite can be reported in one table.
 """
 
 from __future__ import annotations
@@ -442,10 +443,8 @@ def _suite_class(seed: int) -> list[CheckResult]:
 def _suite_generic(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     pair12 = ExponentPair(1.0, 2.0)
-    grid = 32
-    orc = oracle.OracleConfig()
 
-    est = generic.estimate_halfline(means.PowerLaw(1.0), pair12, grid)
+    est = generic.estimate_halfline(means.PowerLaw(1.0), pair12)
     want = power.halfline_constant(pair12, 1.0)
     out.append(
         CheckResult(
@@ -457,8 +456,8 @@ def _suite_generic(seed: int) -> list[CheckResult]:
 
     ok, detail = True, ""
     for f in (means.PowerLaw(0.5), means.AffinePower(1.0, 1.0, 1.0)):
-        est = generic.estimate_halfline(f, pair12, grid)
-        brute = oracle.brute_halfline(f, pair12, orc)
+        est = generic.estimate_halfline(f, pair12)
+        brute = oracle.brute_halfline(f, pair12)
         if abs(brute - est.value) > 1e-4 * est.value:
             ok, detail = False, f"{f.describe()}: brute {brute:.9g} vs {est.value:.9g}"
             break
@@ -470,7 +469,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
         )
     )
 
-    est = generic.estimate_extension(means.PowerLaw(1.0), pair12, grid)
+    est = generic.estimate_extension(means.PowerLaw(1.0), pair12)
     want = power.power_report(pair12, 1.0).extension_constant
     out.append(
         CheckResult(
@@ -480,7 +479,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
         )
     )
 
-    brute = oracle.brute_extension(means.PowerLaw(1.0), pair12, orc)
+    brute = oracle.brute_extension(means.PowerLaw(1.0), pair12)
     out.append(
         CheckResult(
             "generic.brute_extension_matches_power_pipeline",
@@ -489,7 +488,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
         )
     )
 
-    est = generic.estimate_halfline(means.ExpDecay(1.0), pair12, grid)
+    est = generic.estimate_halfline(means.ExpDecay(1.0), pair12)
     re_eval = means.mean_ratio(means.ExpDecay(1.0), est.witness, pair12, generic.QUAD_TOL)
     out.append(
         CheckResult(
@@ -501,7 +500,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
     )
 
     f = means.AffinePower(1.0, 2.0, 0.5)
-    est = generic.estimate_extension(f, pair12, grid)
+    est = generic.estimate_extension(f, pair12)
     view = means.EvenExtensionView(f)
     mirrored = means.mean_ratio(
         view, Interval(-est.witness.hi, -est.witness.lo), pair12, generic.QUAD_TOL
@@ -516,7 +515,7 @@ def _suite_generic(seed: int) -> list[CheckResult]:
 
     ok, detail = True, ""
     for f in (means.PowerLaw(1.0), means.ExpDecay(1.0), means.AffinePower(2.0, 0.5, 1.0)):
-        rep = generic.extension_ratio(f, pair12, grid)
+        rep = generic.extension_ratio(f, pair12)
         if rep.ratio > rep.upper_bound + 1e-6:
             ok, detail = False, f"{f.describe()}: ratio {rep.ratio:.9g}"
             break
@@ -533,8 +532,8 @@ def _suite_generic(seed: int) -> list[CheckResult]:
     xs = np.linspace(0.5, 4.0, 24)
     table = means.SampledTable(xs, 2.0 + np.sin(3.0 * xs) + 0.3 * np.cos(7.0 * xs))
     est = generic.estimate_halfline(table, pair12)
-    brute = oracle.brute_halfline(table, pair12, orc)
-    again = oracle.window_ratio(table, pair12, est.witness.lo, est.witness.hi, orc)
+    brute = oracle.brute_halfline(table, pair12)
+    again = oracle.window_ratio(table, pair12, est.witness.lo, est.witness.hi)
     out.append(
         CheckResult(
             "generic.table_search_reaches_oracle",
@@ -544,8 +543,8 @@ def _suite_generic(seed: int) -> list[CheckResult]:
         )
     )
 
-    one_d = generic.estimate_halfline(means.ExpDecay(1.0), pair12, grid)
-    two_d = generic._halfline_2d(means.ExpDecay(1.0), pair12, grid)
+    one_d = generic.estimate_halfline(means.ExpDecay(1.0), pair12)
+    two_d = generic._halfline_2d(means.ExpDecay(1.0), pair12)
     out.append(
         CheckResult(
             "generic.monotone_reduction_loses_nothing",

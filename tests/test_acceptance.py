@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from rhiconst import oracle
 from rhiconst.classconst import (
     class_constants,
     gamma_approach_sequence,
@@ -31,7 +32,7 @@ from rhiconst.means import (
     PowerLaw,
     SampledTable,
 )
-from rhiconst.oracle import OracleConfig, brute_extension, brute_halfline
+from rhiconst.oracle import brute_extension, brute_halfline
 from rhiconst.power import (
     curve_values,
     extension_curve,
@@ -94,25 +95,25 @@ def test_halfline_estimates_match_closed_forms():
     assert time.monotonic() - start < 120.0
 
 
-def test_brute_extension_over_halfline_matches_curve_max():
+def test_brute_extension_over_halfline_matches_curve_max(monkeypatch):
     start = time.monotonic()
-    cfg = OracleConfig(interval_grid=128)
+    monkeypatch.setattr(oracle, "_INTERVAL_GRID", 128)
     for a, b, g in EXTENSION_COMBOS:
         pair = ExponentPair(a, b)
-        ratio = brute_extension(PowerLaw(g), pair, cfg) / halfline_constant(pair, g)
+        ratio = brute_extension(PowerLaw(g), pair) / halfline_constant(pair, g)
         _, curve_max = maximize_curve(pair, g)
         assert abs(ratio - curve_max) <= 1e-3 * curve_max, (a, b, g, ratio, curve_max)
     assert time.monotonic() - start < 300.0
 
 
-def test_extension_growth_never_exceeds_class_bound():
+def test_extension_growth_never_exceeds_class_bound(monkeypatch):
     ratios: list[tuple[ExponentPair, float]] = []
 
-    cfg = OracleConfig(interval_grid=128)
+    monkeypatch.setattr(oracle, "_INTERVAL_GRID", 128)
     for a, b, g in EXTENSION_COMBOS:
         pair = ExponentPair(a, b)
         ratios.append(
-            (pair, brute_extension(PowerLaw(g), pair, cfg) / halfline_constant(pair, g))
+            (pair, brute_extension(PowerLaw(g), pair) / halfline_constant(pair, g))
         )
         ratios.append((pair, maximize_curve(pair, g)[1]))
 
@@ -262,7 +263,7 @@ def test_origin_anchored_search_dominates_full_grid():
     for f, (a, b) in REDUCTION_ROWS:
         pair = ExponentPair(a, b)
         est = estimate_halfline(f, pair)
-        brute = brute_halfline(f, pair, OracleConfig())
+        brute = brute_halfline(f, pair)
         assert brute <= est.value + 1e-4, (f.describe(), a, b, brute, est.value)
 
 

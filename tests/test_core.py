@@ -149,10 +149,11 @@ def test_interval_validation_and_length():
 
 
 def test_search_config_and_budget_options_are_gone():
-    # Each search takes the one grid it reads, and the quadrature level
-    # budget is a constant of means: no config object, budget or reduction
-    # switch is accepted.
+    # Only power_report sizes its grid; the interval searches, the oracle's
+    # grids and the quadrature level budget are module constants: no
+    # config object, grid, budget or reduction switch is accepted.
     assert not hasattr(rhiconst, "SearchConfig")
+    assert not hasattr(rhiconst, "OracleConfig")
     pair, f, iv = ExponentPair(1.0, 2.0), rhiconst.PowerLaw(1.0), Interval(0.0, 1.0)
     calls = [
         lambda kw: rhiconst.power_report(pair, 1.0, **kw),
@@ -169,3 +170,14 @@ def test_search_config_and_budget_options_are_gone():
         for name in ("cfg", "max_levels", "use_reduction"):
             with pytest.raises(TypeError):
                 call({name: None})
+    for call in calls[3:6]:
+        with pytest.raises(TypeError):
+            call({"interval_grid": 32})
+    oracle_calls = [
+        lambda kw: rhiconst.brute_halfline(f, pair, **kw),
+        lambda kw: rhiconst.brute_extension(f, pair, **kw),
+        lambda kw: rhiconst.oracle.window_ratio(f, pair, 1.0, 2.0, **kw),
+    ]
+    for call in oracle_calls:
+        with pytest.raises(TypeError):
+            call({"cfg": None})

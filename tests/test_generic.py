@@ -28,6 +28,7 @@ from rhiconst.means import (
     PowerLaw,
     SampledTable,
     mean_ratio,
+    mean_ratios,
     quad_mean,
 )
 from rhiconst.oracle import brute_extension, brute_halfline
@@ -41,36 +42,42 @@ R_12 = 1.224744871391589  # sqrt(3/2)
 GRID = 32
 
 
-def test_halfline_estimate_matches_closed_form():
-    est = estimate_halfline(PowerLaw(1.0), ExponentPair(1.0, 2.0), GRID)
+@pytest.fixture
+def trimmed_grid(monkeypatch):
+    """Run the analytic searches with GRID seeds per axis."""
+    monkeypatch.setattr(generic, "_INTERVAL_GRID", GRID)
+
+
+def test_halfline_estimate_matches_closed_form(trimmed_grid):
+    est = estimate_halfline(PowerLaw(1.0), ExponentPair(1.0, 2.0))
     assert math.isclose(est.value, P_12, rel_tol=1e-6)
     assert est.converged
     assert est.witness.lo == 0.0
 
 
-def test_halfline_estimate_mixed_case_negative_gamma():
+def test_halfline_estimate_mixed_case_negative_gamma(trimmed_grid):
     pair = ExponentPair(-1.0, 1.0)
     rep = power_report(pair, -0.4)
-    est = estimate_halfline(PowerLaw(-0.4), pair, GRID)
+    est = estimate_halfline(PowerLaw(-0.4), pair)
     assert math.isclose(est.value, rep.halfline_constant, rel_tol=1e-6)
 
 
-def test_witness_reproduces_reported_value():
-    est = estimate_halfline(ExpDecay(1.0), ExponentPair(1.0, 2.0), GRID)
+def test_witness_reproduces_reported_value(trimmed_grid):
+    est = estimate_halfline(ExpDecay(1.0), ExponentPair(1.0, 2.0))
     again = mean_ratio(ExpDecay(1.0), est.witness, ExponentPair(1.0, 2.0))
     assert math.isclose(again, est.value, rel_tol=1e-9)
 
 
-def test_extension_estimate_matches_power_pipeline():
-    est = estimate_extension(PowerLaw(1.0), ExponentPair(1.0, 2.0), GRID)
+def test_extension_estimate_matches_power_pipeline(trimmed_grid):
+    est = estimate_extension(PowerLaw(1.0), ExponentPair(1.0, 2.0))
     assert math.isclose(est.value, R_12, rel_tol=1e-4)
     assert est.witness.lo < 0.0 < est.witness.hi
 
 
-def test_extension_witness_straddles_and_reproduces():
+def test_extension_witness_straddles_and_reproduces(trimmed_grid):
     pair = ExponentPair(1.0, 2.0)
     f = AffinePower(1.0, 1.0, 1.0)
-    est = estimate_extension(f, pair, GRID)
+    est = estimate_extension(f, pair)
     view = EvenExtensionView(f)
     again = mean_ratio(view, est.witness, pair)
     assert math.isclose(again, est.value, rel_tol=1e-9)
@@ -78,9 +85,9 @@ def test_extension_witness_straddles_and_reproduces():
     assert math.isclose(mean_ratio(view, mirrored, pair), est.value, rel_tol=1e-9)
 
 
-def test_extension_ratio_against_proven_bound():
+def test_extension_ratio_against_proven_bound(trimmed_grid):
     for f in (PowerLaw(1.0), ExpDecay(1.0), AffinePower(2.0, 0.5, 1.0)):
-        rr = extension_ratio(f, ExponentPair(1.0, 2.0), GRID)
+        rr = extension_ratio(f, ExponentPair(1.0, 2.0))
         assert 1.0 - 1e-6 <= rr.ratio <= rr.upper_bound + 1e-6
         assert rr.upper_bound == 2.0
         assert math.isclose(
@@ -88,25 +95,25 @@ def test_extension_ratio_against_proven_bound():
         )
 
 
-def test_extension_ratio_power_law_matches_closed_form():
-    rr = extension_ratio(PowerLaw(1.0), ExponentPair(1.0, 2.0), GRID)
+def test_extension_ratio_power_law_matches_closed_form(trimmed_grid):
+    rr = extension_ratio(PowerLaw(1.0), ExponentPair(1.0, 2.0))
     rep = power_report(ExponentPair(1.0, 2.0), 1.0)
     assert math.isclose(rr.ratio, rep.curve_max, rel_tol=1e-4)
 
 
-def test_two_dimensional_search_never_beats_reduction():
+def test_two_dimensional_search_never_beats_reduction(trimmed_grid):
     pair = ExponentPair(1.0, 2.0)
     f = ExpDecay(1.0)
-    one_d = estimate_halfline(f, pair, GRID)
-    two_d = generic._halfline_2d(f, pair, GRID)
+    one_d = estimate_halfline(f, pair)
+    two_d = generic._halfline_2d(f, pair)
     assert two_d.value <= one_d.value + 1e-4 * max(1.0, one_d.value)
 
 
-def test_estimates_agree_with_brute_force():
+def test_estimates_agree_with_brute_force(trimmed_grid):
     pair = ExponentPair(1.0, 2.0)
     f = AffinePower(1.0, 1.0, 1.0)
-    est_p = estimate_halfline(f, pair, GRID)
-    est_r = estimate_extension(f, pair, GRID)
+    est_p = estimate_halfline(f, pair)
+    est_r = estimate_extension(f, pair)
     bp = brute_halfline(f, pair)
     br = brute_extension(f, pair)
     assert abs(est_p.value - bp) <= 1e-3 * bp
@@ -291,24 +298,28 @@ def _inner_knots(iv: Interval) -> int:
 
 
 @pytest.mark.parametrize(
-    "search, covers",
+    "search, grid, covers",
     [
         (
             lambda: estimate_extension(PowerLaw(1.0), ExponentPair(1.0, 2.0)),
+            None,
             lambda ivs, scores: any(iv.lo == 0.0 for iv in ivs),
         ),
         # Offset 1 keeps f regular at 0 (substitution exponent p = 1);
         # offset 0 with gamma < 0 makes it singular there (p != 1).
         (
-            lambda: estimate_extension(AffinePower(2.0, 0.5, 1.0), ExponentPair(1.0, 2.0), GRID),
+            lambda: estimate_extension(AffinePower(2.0, 0.5, 1.0), ExponentPair(1.0, 2.0)),
+            GRID,
             lambda ivs, scores: any(iv.lo < 0.0 < iv.hi for iv in ivs),
         ),
         (
-            lambda: estimate_extension(AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0), GRID),
+            lambda: estimate_extension(AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0)),
+            GRID,
             lambda ivs, scores: any(iv.lo < 0.0 < iv.hi for iv in ivs),
         ),
         (
-            lambda: generic._halfline_2d(ExpDecay(1.0), ExponentPair(1.0, 2.0), GRID),
+            lambda: generic._halfline_2d(ExpDecay(1.0), ExponentPair(1.0, 2.0)),
+            GRID,
             lambda ivs, scores: (
                 np.isneginf(scores).any()
                 and any(_interior(iv, True) for iv in ivs)
@@ -317,6 +328,7 @@ def _inner_knots(iv: Interval) -> int:
         ),
         (
             lambda: estimate_halfline(BUMPY_TABLE, ExponentPair(-1.0, 1.0)),
+            None,
             lambda ivs, scores: (
                 any(_inner_knots(iv) == 0 for iv in ivs)
                 and any(_inner_knots(iv) >= 2 for iv in ivs)
@@ -327,10 +339,12 @@ def _inner_knots(iv: Interval) -> int:
     ],
     ids=["pow-eps", "affpow-regular", "affpow-singular", "expdecay-2d", "table-polish"],
 )
-def test_batched_scores_equal_scalar_loop(monkeypatch, search, covers):
+def test_batched_scores_equal_scalar_loop(monkeypatch, search, grid, covers):
     # Every batch a search scores (slices of the seed grid, then each
     # stencil) must score exactly as a loop of scalar mean_ratio calls,
     # failed cells (-inf) included.
+    if grid is not None:
+        monkeypatch.setattr(generic, "_INTERVAL_GRID", grid)
     batches = []
     scored = generic._scored_ratios
 
@@ -521,10 +535,42 @@ def test_polish_next_to_a_better_pair_counts():
 
 @pytest.mark.parametrize("block", [1, 7, 100, generic._SCAN_BLOCK])
 def test_scan_blocks_do_not_change_the_ranking(monkeypatch, block):
-    table, pair = _wavy_table(1, 60), ExponentPair(1.0, 2.0)
-    expected = generic._scan_knot_pairs(table, pair)
+    # The second table spans beyond double range, so most of its windows
+    # are summed again at their own scale, in blocks of stretches.
+    rng = np.random.default_rng(1)
+    wide = SampledTable(np.linspace(0.5, 20.0, 40), 10.0 ** rng.uniform(-320, 300, 40))
+    cases = [(_wavy_table(1, 60), ExponentPair(1.0, 2.0)), (wide, ExponentPair(-2.0, -0.5))]
+    expected = [generic._scan_knot_pairs(table, pair) for table, pair in cases]
     monkeypatch.setattr(generic, "_SCAN_BLOCK", block)
-    assert generic._scan_knot_pairs(table, pair) == expected
+    assert [generic._scan_knot_pairs(table, pair) for table, pair in cases] == expected
+
+
+def _wide_tables(count):
+    """Tables of 3 to 19 knots with values 10**U(-320, 300)."""
+    rng = np.random.default_rng(12345)
+    for _ in range(count):
+        n = int(rng.integers(3, 20))
+        yield SampledTable(np.linspace(0.5, 20.0, n), 10.0 ** rng.uniform(-320, 300, n))
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_ranks_windows_beyond_double_range():
+    # Windows whose terms underflow at the table's scale are summed again
+    # at their own scale, so no estimate falls below a knot-to-knot window.
+    pair = ExponentPair(-2.0, -0.5)
+    for table in _wide_tables(20):
+        xs = table.xs
+        i, j = np.triu_indices(len(xs), 1)
+        best = mean_ratios(table, [Interval(a, b) for a, b in zip(xs[i], xs[j])], pair).max()
+        assert estimate_halfline(table, pair).value >= best * (1.0 - 1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_overflow_at_a_tiny_order_is_a_numeric_error():
+    # 1/alpha overflows, so no window has a finite score; no numpy warning.
+    tbl = SampledTable(np.array([0.5, 1.0, 2.0, 3.0]), np.array([1.0, 3.0, 0.5, 2.0]))
+    with pytest.raises(NumericError, match="no window of the table has finite means"):
+        estimate_halfline(tbl, ExponentPair(5e-324, 1.0))
 
 
 def test_table_extension_is_rejected():
@@ -536,36 +582,12 @@ def test_table_extension_is_rejected():
 
 def test_even_extension_input_is_rejected():
     with pytest.raises(DomainError):
-        estimate_extension(EvenExtensionView(PowerLaw(1.0)), ExponentPair(1.0, 2.0), GRID)
-
-
-def test_interval_grid_is_checked_before_any_search(monkeypatch):
-    def no_search(*args):
-        raise AssertionError("a search ran")
-
-    monkeypatch.setattr(generic, "_search", no_search)
-    pair, tbl = ExponentPair(1.0, 2.0), SampledTable(np.linspace(1.0, 2.0, 5), np.ones(5))
-    # Inputs that pass their own checks and inputs that fail them: the grid
-    # is checked first either way.
-    calls = [
-        lambda g: estimate_halfline(ExpDecay(1.0), pair, g),
-        lambda g: estimate_halfline(tbl, pair, g),
-        lambda g: estimate_halfline(PowerLaw(-0.6), pair, g),
-        lambda g: estimate_extension(PowerLaw(1.0), pair, g),
-        lambda g: estimate_extension(tbl, pair, g),
-        lambda g: extension_ratio(ExpDecay(1.0), pair, g),
-        lambda g: extension_ratio(EvenExtensionView(PowerLaw(1.0)), pair, g),
-    ]
-    for call in calls:
-        with pytest.raises(DomainError, match="interval_grid must be at least 8"):
-            call(7)
-    with pytest.raises(AssertionError, match="a search ran"):
-        estimate_halfline(ExpDecay(1.0), pair, 8)
+        estimate_extension(EvenExtensionView(PowerLaw(1.0)), ExponentPair(1.0, 2.0))
 
 
 def test_non_summable_input_is_rejected():
     with pytest.raises(DomainError):
-        estimate_halfline(PowerLaw(-0.6), ExponentPair(1.0, 2.0), GRID)
+        estimate_halfline(PowerLaw(-0.6), ExponentPair(1.0, 2.0))
 
 
 def test_negative_orders_require_strict_positivity():

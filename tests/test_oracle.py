@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from rhiconst.core import DataError, DomainError, ExponentPair
+from rhiconst import oracle
+from rhiconst.core import DataError, DomainError, ExponentPair, NumericError
 from rhiconst.means import AffinePower, PowerLaw, SampledTable
 from rhiconst.oracle import (
-    OracleConfig,
     brute_extension,
     brute_halfline,
     brute_max_curve,
@@ -53,21 +53,23 @@ def test_brute_pipeline_across_cases(a, b, gamma):
     assert abs(br - rep.extension_constant) <= 1e-3 * rep.extension_constant
 
 
-def test_grid_doubling_never_loses_the_maximum():
+def test_grid_doubling_never_loses_the_maximum(monkeypatch):
     # Doubled endpoint grids are supersets, so the maximum is monotone
     # exactly, not just within tolerance.
     f = AffinePower(1.0, 1.0, 1.0)
     pair = ExponentPair(1.0, 2.0)
-    coarse = brute_halfline(f, pair, OracleConfig(interval_grid=64))
-    fine = brute_halfline(f, pair, OracleConfig(interval_grid=128))
+    coarse = brute_halfline(f, pair)
+    monkeypatch.setattr(oracle, "_INTERVAL_GRID", 128)
+    fine = brute_halfline(f, pair)
     assert fine >= coarse
 
 
-def test_panel_doubling_moves_result_only_by_quadrature_error():
+def test_panel_doubling_moves_result_only_by_quadrature_error(monkeypatch):
     f = AffinePower(1.0, 1.0, 1.0)
     pair = ExponentPair(1.0, 2.0)
-    a = brute_halfline(f, pair, OracleConfig(quad_panels=64))
-    b = brute_halfline(f, pair, OracleConfig(quad_panels=128))
+    a = brute_halfline(f, pair)
+    monkeypatch.setattr(oracle, "_QUAD_PANELS", 128)
+    b = brute_halfline(f, pair)
     assert b >= a - 1e-9 * a
 
 
@@ -128,10 +130,15 @@ def test_validation_rejects_bad_inputs():
         brute_halfline(SampledTable(xs, fs), ExponentPair(-1.0, 1.0))
 
 
-def test_oracle_config_validation():
-    with pytest.raises(DomainError):
-        OracleConfig(interval_grid=32)
-    with pytest.raises(DomainError):
-        OracleConfig(interval_grid=100)  # not a multiple of 8
-    with pytest.raises(DomainError):
-        OracleConfig(quad_panels=8)
+def test_ratio_beyond_double_range_is_a_numeric_error():
+    # At an order this close to 0 a rounding error in a log mean, divided
+    # by the order, exceeds the exponent range of a double.
+    f = PowerLaw(1.0)
+    calls = [
+        lambda: brute_halfline(f, ExponentPair(1e-15, 1.0)),
+        lambda: window_ratio(f, ExponentPair(1e-20, 1.0), 0.0, 3.0),
+        lambda: brute_extension(f, ExponentPair(1e-18, 1.0)),
+    ]
+    for call in calls:
+        with pytest.raises(NumericError, match="overflows double range"):
+            call()
