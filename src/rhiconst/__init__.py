@@ -8,7 +8,7 @@ alpha < beta:
 * class-level constants: the proven ceiling on reflection growth and the
   exact supremum over powers, with sharpness sweeps (classconst);
 * searched estimates for arbitrary function specs, cross-checked by
-  brute-force grids (means, generic, oracle).
+  brute-force grids (means, tables, generic, oracle).
 
 The cli module exposes all of it as the rhiconst command.
 """

@@ -21,10 +21,8 @@ Analytic inputs of unknown monotonicity get the full two-dimensional
 (start, width) search, which is also the reference the origin-anchored
 reduction is checked against.  Every analytic search seeds _INTERVAL_GRID
 points per axis; no caller sizes it, so verify checks the searches that
-estimate runs.  Sampled tables get no reduction: their means are exact
-(means.py), so every window between two knots is scored (at its own
-scale when its sum underflows at the table's), and the best knot pairs
-are then polished with both ends free inside the neighbouring stretches.
+estimate runs.  Sampled tables get no reduction: tables.py ranks every
+window between two knots, and the best knot pairs are then polished here.
 
 Every search runs on one engine, _grid_refine, which refines many
 independent searches in lockstep; an analytic search is a batch of one.
@@ -49,17 +47,15 @@ from .core import (
     NumericError,
 )
 from .means import (
-    _SMALL_SUM,
     EvenExtensionView,
     FunctionSpec,
     Monotonicity,
     PowerLaw,
     SampledTable,
-    _knot_integrals,
-    _scaled_window_sums,
     _scored_ratios,
     mean_ratio,
 )
+from .tables import _knot_seeds, _scan_knot_pairs
 
 __all__ = [
     "EvenExtensionView",
@@ -78,21 +74,12 @@ _EPS_TAIL_FLOOR = 1e-6
 # pass), so this bounds memory whatever the grid size; its integrand
 # calls are bounded by means._NODE_BUDGET on their own.  A table pass
 # holds O(1) state per window and is not sliced: a round of the table
-# polish scores at most _POLISH_PAIRS * 81 windows.
+# polish scores at most tables._POLISH_PAIRS * 81 windows.
 _SCORE_SLICE = 512
 
-# Most knot pairs held at once by the exhaustive table scan, or one row
-# of knot pairs if it is longer; also the most stretches summed at once
-# when the scan sums windows again at their own scale, or one window if
-# it is longer.
-_SCAN_BLOCK = 1 << 14
-
-# Knot pairs considered for the polish after the scan, seeds per stretch
-# beside each polished knot (the knot included), and the gain below which
-# a polish round ends it.  Table means are exact, so the polish can settle
-# to near rounding instead of to the quadrature-level _CONVERGE_RTOL.
-_POLISH_PAIRS = 16
-_POLISH_SEEDS = 5
+# The gain below which a round of a table polish ends it.  Table means are
+# exact, so the polish can settle to near rounding instead of to the
+# quadrature-level _CONVERGE_RTOL.
 _POLISH_RTOL = 1e-12
 
 
@@ -359,95 +346,9 @@ def _check_input(f: FunctionSpec, pair: ExponentPair) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _scan_knot_pairs(table: SampledTable, pair: ExponentPair):
-    """Rank every window between two knots by its log mean ratio.
-
-    Row i holds the windows (xs[i], xs[j]) for j > i; their integrals are
-    cumulative sums of the exact stretch terms from knot i on, so every
-    sum starts at its window's left knot and adds positive terms.  The
-    terms use the table's scale (means._knot_integrals); a window whose
-    sum in either order is too small there is summed again at its own
-    scale (_own_scale_sums), as the polish does.  A table none of whose
-    windows can be ranked raises NumericError.  Rows are taken in blocks
-    of at most _SCAN_BLOCK pairs, or one row if it is longer.  Returns the
-    _POLISH_PAIRS best (i, j), best first, and the number of pairs scored.
-    """
-    xs, m = table.xs, len(table.xs) - 1
-    ca, ta = _knot_integrals(table, pair.alpha)
-    cb, tb = _knot_integrals(table, pair.beta)
-    if not (ca > 0.0 and cb > 0.0):
-        raise NumericError("no window of the table has finite means")
-    # log(M_beta / M_alpha) = shift + log(S_b)/beta - log(S_a)/alpha
-    #                         + (1/alpha - 1/beta) * log(width)
-    shift = math.log(cb) - math.log(ca)
-    tilt = 1.0 / pair.alpha - 1.0 / pair.beta
-    best = np.zeros(0)
-    best_i, best_j = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    r0 = 0
-    while r0 < m:
-        rows = np.arange(r0, min(m, r0 + max(1, _SCAN_BLOCK // (m - r0))))
-        k = np.arange(r0, m)
-        inside = k[None, :] >= rows[:, None]
-        sa = np.cumsum(np.where(inside, ta[k], 0.0), axis=1)
-        sb = np.cumsum(np.where(inside, tb[k], 0.0), axis=1)
-        width = xs[k + 1][None, :] - xs[rows][:, None]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            score = np.log(sb) / pair.beta - np.log(sa) / pair.alpha
-            score += shift + tilt * np.log(width)
-            redo = inside & ~(np.minimum(sa, sb) >= _SMALL_SUM * width)
-            if redo.any():
-                ri, cj = np.nonzero(redo)
-                i, j, w = rows[ri], k[cj] + 1, width[ri, cj]
-                logm = []
-                for order, scale, s in ((pair.alpha, ca, sa), (pair.beta, cb, sb)):
-                    scales, sums = np.full(len(i), scale), s[ri, cj]
-                    small = ~(sums >= _SMALL_SUM * w)
-                    scales[small], sums[small] = _own_scale_sums(table, i[small], j[small], order)
-                    logm.append(np.log(scales) + np.log(sums) / order)
-                score[ri, cj] = logm[1] - logm[0] + tilt * np.log(w)
-        score[~inside | np.isnan(score)] = -math.inf
-        top = np.argpartition(score, -min(_POLISH_PAIRS, score.size), axis=None)
-        top = top[-_POLISH_PAIRS:]
-        ri, cj = np.unravel_index(top, score.shape)
-        best = np.concatenate((best, score[ri, cj]))
-        best_i = np.concatenate((best_i, rows[ri]))
-        best_j = np.concatenate((best_j, k[cj] + 1))
-        keep = np.lexsort((best_j, best_i, -best))[:_POLISH_PAIRS]
-        best, best_i, best_j = best[keep], best_i[keep], best_j[keep]
-        r0 = int(rows[-1]) + 1
-    found = np.isfinite(best)
-    if not found.any():
-        raise NumericError("no window of the table has finite means")
-    return list(zip(best_i[found].tolist(), best_j[found].tolist())), m * (m + 1) // 2
-
-
-def _own_scale_sums(table: SampledTable, i: np.ndarray, j: np.ndarray, order: float):
-    """means._scaled_window_sums of the windows (xs[i], xs[j]), taken at
-    most _SCAN_BLOCK stretches at a time, or one window if it is longer."""
-    xs = table.xs
-    scales, sums = np.empty(len(i)), np.empty(len(i))
-    ends = np.cumsum(j - i)
-    a = 0
-    while a < len(i):
-        done = int(ends[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(ends, done + _SCAN_BLOCK, "right")))
-        scales[a:b], sums[a:b] = _scaled_window_sums(table, xs[i[a:b]], xs[j[a:b]], order)
-        a = b
-    return scales, sums
-
-
-def _knot_seeds(xs: np.ndarray, k: int) -> np.ndarray:
-    """Seeds over the stretches on both sides of knot k, the knot included."""
-    parts = [np.array([xs[k]])]
-    if k > 0:
-        parts.insert(0, np.linspace(xs[k - 1], xs[k], _POLISH_SEEDS)[:-1])
-    if k + 1 < len(xs):
-        parts.append(np.linspace(xs[k], xs[k + 1], _POLISH_SEEDS)[1:])
-    return np.concatenate(parts)
-
-
 def _search_table(table: SampledTable, pair: ExponentPair) -> SupremumEstimate:
-    """Exhaustive knot-pair scan, then a local polish of the best pairs.
+    """Exhaustive knot-pair scan (tables._scan_knot_pairs), then a local
+    polish of the best pairs.
 
     Each polish is a 2-D search over windows (a, b) with a and b free in
     the stretches beside the pair's two knots (its box), until a round

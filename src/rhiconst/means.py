@@ -66,20 +66,8 @@ such a mean continues from the level it reached under the tighter test
 instead of starting over, which ends at the same level with the same
 value, because a tighter test cannot pass earlier.
 
-Sampled tables are not integrated numerically.  The interpolant is linear
-between knots, so a window splits at every knot inside it and each
-stretch of width h from value u to value v integrates in closed form,
-
-    integral of f**r = h * u**r * phi((r+1)*L) / phi(L),
-    L = log(v/u),  phi(z) = expm1(z)/z,
-
-which stays exact as v -> u and at r = -1 (see _stretch_integrals).
-Each window adds its own stretches from its left end; no window integral
-is a difference of cumulative sums, which cancels catastrophically when
-the window's terms are small next to the ones before it.  A pass finds
-the windows' stretches once for all its orders and takes only their
-terms per order.  Table means have no quadrature error, so tol and the
-level budget do not apply to them.
+Sampled tables are not integrated numerically: tables.py takes their
+means exactly, in closed form.
 
 0**r is treated as 0 for r > 0.  For r < 0 it is inadmissible and the
 entry points reject the configurations that would produce it.
@@ -104,6 +92,7 @@ from .core import (
     QuadratureError,
     RhiError,
 )
+from .tables import _table_means
 
 __all__ = [
     "AffinePower",
@@ -356,9 +345,12 @@ class EvenExtensionView(FunctionSpec):
 
 
 def table_from_csv(path: str) -> SampledTable:
-    """Load a SampledTable from a CSV file with header ``x,f``."""
+    """Load a SampledTable from a UTF-8 CSV file with header ``x,f``.
+
+    A byte-order mark before the header is skipped.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise DataError(f"cannot read table file {path!r}: {exc}") from exc
@@ -611,193 +603,6 @@ def _pieces(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray):
     return owner[~out], lo[~out], hi[~out], errors
 
 
-def _stretch_integrals(u: np.ndarray, v: np.ndarray, h: np.ndarray, order: float) -> np.ndarray:
-    """Exact integral of f**order where f runs linearly from u to v over width h.
-
-    The closed form h * (v**(r+1) - u**(r+1)) / ((r+1) * (v - u)) is taken
-    as h * b**r * phi((r+1)*L) / phi(L), phi(z) = expm1(z)/z, with b the
-    larger end when r >= -1 and the smaller one otherwise, and
-    L = log(other end / b): then (r+1)*L <= 0, so neither phi overflows
-    and their quotient is at most 1.  It stays exact as u -> v and at
-    r = -1.  A zero end (possible only for r > 0) gives h * b**r / (r+1).
-    The callers scale the values so that b**r <= 1.
-    """
-    if order >= -1.0:
-        b, other = np.maximum(u, v), np.minimum(u, v)
-    else:
-        b, other = np.minimum(u, v), np.maximum(u, v)
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        lg = np.log(other / b)
-        z = (order + 1.0) * lg
-        quotient = np.where(z == 0.0, 1.0, np.expm1(z) / z) / np.where(
-            lg == 0.0, 1.0, np.expm1(lg) / lg
-        )
-        if order > 0.0:
-            quotient = np.where(other == 0.0, 1.0 / (order + 1.0), quotient)
-        return h * b**order * quotient
-
-
-def _table_scale(table: SampledTable, order: float) -> float:
-    # The largest value for order > 0 and the smallest for order < 0: every
-    # scaled stretch term is then at most its width.
-    return float(table.fs.max() if order > 0.0 else table.fs.min())
-
-
-def _knot_integrals(table: SampledTable, order: float) -> tuple[float, np.ndarray]:
-    """(scale, terms): the integral of f**order from knot k to knot k+1 is
-    scale**order * terms[k].
-
-    scale is _table_scale, so no term overflows; a term more than about
-    1e-300 below scale**order underflows.
-    """
-    scale = _table_scale(table, order)
-    with np.errstate(invalid="ignore", over="ignore"):  # an all-zero table scales to NaN
-        u, v = table.fs[:-1] / scale, table.fs[1:] / scale
-    return scale, _stretch_integrals(u, v, np.diff(table.xs), order)
-
-
-def _scaled_window_sums(table: SampledTable, lo: np.ndarray, hi: np.ndarray, order: float):
-    """_window_sums with each window scaled by its own largest (order > 0)
-    or smallest (order < 0) value, so its largest term is not small.
-
-    Costs one term per stretch of every window; the fallback for windows
-    whose terms are tiny at the table's scale.
-    """
-    xs, fs = table.xs, table.fs
-    # Window w has count[w] stretches; its stretch j ends at knot
-    # first[w] + j, its last one at hi instead.
-    first = np.searchsorted(xs, lo, "right")
-    count = np.searchsorted(xs, hi, "left") - first + 1
-    starts = np.cumsum(count) - count
-    w = np.repeat(np.arange(len(lo)), count)
-    j = np.arange(len(w)) - starts[w]
-    k = first[w] + j
-    last = j == count[w] - 1
-    x0 = np.where(j == 0, lo[w], xs[k - 1])
-    x1 = np.where(last, hi[w], xs[k])
-    u = np.where(j == 0, np.interp(lo, xs, fs)[w], fs[k - 1])
-    v = np.where(last, np.interp(hi, xs, fs)[w], fs[k])
-    pick = np.maximum if order > 0.0 else np.minimum
-    scales = pick.reduceat(pick(u, v), starts)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = _stretch_integrals(u / scales[w], v / scales[w], x1 - x0, order)
-    # bincount adds each window's stretches to 0 one at a time, left to right.
-    return scales, np.bincount(w, weights=terms, minlength=len(lo))
-
-
-class _Windows(NamedTuple):
-    """The stretches of table windows, which every order's sums share.
-
-    Stretch k runs over width h[k] from value u[k] to value v[k]: the
-    whole stretches between the windows' inner knots come first, then
-    every window's left end stretch, then every window's right end
-    stretch.  runs lists, per gap f0 where windows with two or more inner
-    knots start, (rows, start, stop, at): those windows' inner sums are
-    cumsum(terms[start:stop])[at].
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    h: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    runs: list
-
-
-def _windows(table: SampledTable, lo: np.ndarray, hi: np.ndarray) -> _Windows:
-    """The _Windows of the windows (lo[i], hi[i]), at least one, inside the data.
-
-    A window is its left end stretch (lo to its first inner knot), the
-    whole stretches between its inner knots and its right end stretch; a
-    window inside one gap is its left end stretch alone, and its right end
-    stretch has width 0.
-    """
-    xs, fs = table.xs, table.fs
-    first = np.searchsorted(xs, lo, "right")
-    last = np.searchsorted(xs, hi, "left") - 1
-    wide = first <= last
-    k0 = int(first.min())
-    k1 = max(k0, int(last.max()))
-    flo, fhi = np.interp(lo, xs, fs), np.interp(hi, xs, fs)
-    x0 = np.concatenate((xs[k0:k1], lo, np.where(wide, xs[last], hi)))
-    x1 = np.concatenate((xs[k0 + 1 : k1 + 1], np.where(wide, xs[first], hi), hi))
-    u = np.concatenate((fs[k0:k1], flo, np.where(wide, fs[last], fhi)))
-    v = np.concatenate((fs[k0 + 1 : k1 + 1], np.where(wide, fs[first], fhi), fhi))
-    runs = []
-    for f0 in sorted(set(first[first < last].tolist())):
-        rows = np.flatnonzero((first == f0) & (last > f0))
-        runs.append((rows, f0 - k0, int(last[rows].max()) - k0, last[rows] - f0 - 1))
-    return _Windows(lo, hi, x1 - x0, u, v, runs)
-
-
-# A window sum this far below the window's width may have lost terms to
-# underflow at the table's scale (the table scan uses the same rule).
-_SMALL_SUM = 1e-200
-
-
-def _window_sums(table: SampledTable, windows: _Windows, order: float):
-    """(scales, sums): the integral of f**order over window i is
-    scales[i]**order * sums[i], exact up to rounding.
-
-    The whole stretches are added by a cumulative sum that starts at the
-    window's first inner knot, shared by the windows that start in the
-    same gap, so every window sums positive terms from its own left end
-    and none is a difference of cumulative sums.  Terms use the table's
-    scale; a window whose sum is too small there to keep full precision
-    is summed again at its own scale.
-    """
-    lo, hi = windows.lo, windows.hi
-    n = len(lo)
-    m = len(windows.h) - 2 * n
-    scale = _table_scale(table, order)
-    with np.errstate(invalid="ignore", over="ignore"):  # an all-zero table scales to NaN
-        terms = _stretch_integrals(windows.u / scale, windows.v / scale, windows.h, order)
-    inner = np.zeros(n)
-    for rows, start, stop, at in windows.runs:
-        inner[rows] = np.cumsum(terms[start:stop])[at]
-    sums = (terms[m : m + n] + inner) + terms[m + n :]
-    scales = np.full(n, scale)
-    small = ~(sums >= _SMALL_SUM * (hi - lo))
-    if small.any():
-        scales[small], sums[small] = _scaled_window_sums(table, lo[small], hi[small], order)
-    return scales, sums
-
-
-def _table_means(table: SampledTable, lo: np.ndarray, hi: np.ndarray, orders):
-    """Exact means of each order over table windows (lo[i], hi[i]).
-
-    Every window lies inside the data.  Returns (values, errors) per
-    order, like _means.  The windows' geometry is built once for all
-    orders.  numpy's elementwise functions give each element the same bits
-    whatever the array length, so a mean does not depend on the batch it
-    is in.
-    """
-    if not len(lo):
-        return [(np.zeros(0), {}) for _ in orders]
-    windows = _windows(table, lo, hi)
-    found = []
-    for order in orders:
-        scales, sums = _window_sums(table, windows, order)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            exponent = np.log(sums / (hi - lo)) / order
-            log_mean = np.log(scales) + exponent
-            values = np.where(
-                np.abs(exponent) < 700.0, scales * np.exp(exponent), np.exp(log_mean)
-            )
-        undefined = ~((scales > 0.0) & (sums > 0.0))
-        errors = dict.fromkeys(
-            np.flatnonzero(undefined).tolist(),
-            DomainError("mean undefined: integral of f**order is not positive"),
-        )
-        for failed, exc in (
-            (log_mean > 700.0, NumericError("mean overflows double range")),
-            (log_mean < -700.0, NumericError("mean underflows double range")),
-        ):
-            errors.update(dict.fromkeys(np.flatnonzero(failed & ~undefined).tolist(), exc))
-        found.append((values, errors))
-    return found
-
-
 class _Order:
     """One order's state in a pass: per interval its tolerance, last value
     and whether it still refines, and the cell sums its origin-anchored
@@ -868,7 +673,8 @@ class _Order:
         # math, not numpy: np.log and np.exp can differ from these in the
         # last bit, which would move every reported value.
         logs = [math.log(t) for t in (total / lengths[act]).tolist()]
-        exponent = np.array(logs) / self.order
+        with np.errstate(over="ignore"):  # an overflow fails below, as > 700
+            exponent = np.array(logs) / self.order
         self.fail(act[exponent > 700.0], NumericError("mean overflows double range"))
         self.fail(act[exponent < -700.0], NumericError("mean underflows double range"))
         inside = np.abs(exponent) <= 700.0

@@ -85,8 +85,9 @@ def test_power_rejects_boundary_gamma(capsys):
     [
         ("power", "--alpha", "1", "--beta", "2", "--gamma", "1e308"),
         ("estimate", "--alpha", "-1", "--beta", "2", "--function", "pow:gamma=-0.49"),
+        ("estimate", "--alpha", "5e-324", "--beta", "1", "--function", "expdecay:lambda=1"),
     ],
-    ids=["power-gamma-overflow", "estimate-nodes-underflow"],
+    ids=["power-gamma-overflow", "estimate-nodes-underflow", "estimate-tiny-order"],
 )
 def test_numeric_failures_print_no_numpy_warning(argv):
     # A fresh process, so that numpy's warnings would reach stderr.

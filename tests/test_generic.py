@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rhiconst import generic
+from rhiconst import generic, tables
 from rhiconst.core import (
     DataError,
     DomainError,
@@ -448,7 +448,7 @@ def test_table_polishes_in_one_batch_equal_each_polish_alone():
     pair = ExponentPair(-1.0, 1.0)
     xs = BUMPY_TABLE.xs
     boxes = [
-        [generic._knot_seeds(xs, i), generic._knot_seeds(xs, j)]
+        [tables._knot_seeds(xs, i), tables._knot_seeds(xs, j)]
         for i, j in [(0, 5), (1, 3), (4, 1), (2, 4), (0, 1)]
     ]
 
@@ -476,7 +476,7 @@ def test_table_search_scores_one_pass_per_round(monkeypatch):
     # The seed grids, at most _REFINE_ROUNDS rounds, then the re-score.
     assert 3 <= len(sizes) <= generic._REFINE_ROUNDS + 2
     assert sizes[0] > generic._SCORE_SLICE
-    assert max(sizes) <= generic._POLISH_PAIRS * 81
+    assert max(sizes) <= tables._POLISH_PAIRS * 81
 
 
 def _replay(monkeypatch, table, pair, planted):
@@ -501,9 +501,9 @@ def _replay(monkeypatch, table, pair, planted):
 
 def test_every_polish_counts_and_a_failed_one_is_dropped(monkeypatch):
     table, pair = _wavy_table(1, 60), ExponentPair(1.0, 2.0)
-    _, scanned = generic._scan_knot_pairs(table, pair)
+    _, scanned = tables._scan_knot_pairs(table, pair)
     plain, found = _replay(monkeypatch, table, pair, set())
-    assert len(found) == generic._POLISH_PAIRS
+    assert len(found) == tables._POLISH_PAIRS
     assert plain.value == max(r[0] for r in found)
     assert plain.search_points == scanned + sum(r[2] for r in found)
     for k in range(len(found)):
@@ -533,16 +533,24 @@ def test_polish_next_to_a_better_pair_counts():
     assert est.value >= dense.max()
 
 
-@pytest.mark.parametrize("block", [1, 7, 100, generic._SCAN_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 100, tables._SCAN_BLOCK])
 def test_scan_blocks_do_not_change_the_ranking(monkeypatch, block):
     # The second table spans beyond double range, so most of its windows
-    # are summed again at their own scale, in blocks of stretches.
+    # are summed again at their own scale, in blocks of stretches.  So are
+    # most of the windows with ends inside stretches that mean_ratios scores.
     rng = np.random.default_rng(1)
     wide = SampledTable(np.linspace(0.5, 20.0, 40), 10.0 ** rng.uniform(-320, 300, 40))
     cases = [(_wavy_table(1, 60), ExponentPair(1.0, 2.0)), (wide, ExponentPair(-2.0, -0.5))]
-    expected = [generic._scan_knot_pairs(table, pair) for table, pair in cases]
-    monkeypatch.setattr(generic, "_SCAN_BLOCK", block)
-    assert [generic._scan_knot_pairs(table, pair) for table, pair in cases] == expected
+    lo = rng.uniform(0.5, 18.5, 200)
+    windows = [Interval(a, b) for a, b in zip(lo, lo + rng.uniform(0.01, 1.5, 200))]
+
+    def run():
+        scans = [tables._scan_knot_pairs(table, pair) for table, pair in cases]
+        return scans, mean_ratios(wide, windows, ExponentPair(-2.0, -0.5)).tolist()
+
+    expected = run()
+    monkeypatch.setattr(tables, "_SCAN_BLOCK", block)
+    assert run() == expected
 
 
 def _wide_tables(count):

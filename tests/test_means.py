@@ -15,7 +15,7 @@ from rhiconst.core import (
     NumericError,
     QuadratureError,
 )
-from rhiconst import means
+from rhiconst import means, tables
 from rhiconst.means import (
     AffinePower,
     EvenExtensionView,
@@ -331,8 +331,8 @@ def test_table_windows_split_at_knots_and_integrate_exactly():
     for order in (1.0, 2.0):
         # The shared cumulative sums and the per-window split at the knots
         # (the fallback for tiny sums) give the same integrals.
-        scales, sums = means._window_sums(tbl, means._windows(tbl, lo, hi), order)
-        again, again_sums = means._scaled_window_sums(tbl, lo, hi, order)
+        scales, sums = tables._window_sums(tbl, tables._windows(tbl, lo, hi), order)
+        again, again_sums = tables._scaled_window_sums(tbl, lo, hi, order)
         assert np.allclose(scales**order * sums, again**order * again_sums, rtol=1e-14, atol=0.0)
         for a, b in windows:
             got = quad_mean(tbl, Interval(a, b), order)
@@ -429,7 +429,7 @@ def test_table_window_integral_is_no_prefix_difference():
     fs = np.geomspace(1.0, 1e-4, 200)
     tbl = SampledTable(xs, fs)
     i, j = 195, 199
-    scale, terms = means._knot_integrals(tbl, 4.0)
+    scale, terms = tables._knot_integrals(tbl, 4.0)
     prefix = np.concatenate(([0.0], np.cumsum(terms)))
     exact = math.fsum(terms[i:j].tolist())
     assert abs((prefix[j] - prefix[i]) - exact) > 0.5 * exact
@@ -648,11 +648,13 @@ def test_describe_strings_round_trip_the_parameters():
 
 def test_table_from_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("x,f\n1.0,2.0\n2.0,3.0\n3.0,5.5\n")
-    tbl = table_from_csv(str(path))
-    assert tbl.domain == (1.0, 3.0)
-    assert tbl.monotonicity is Monotonicity.UNKNOWN
-    assert np.allclose(tbl.fs, [2.0, 3.0, 5.5])
+    # The second file starts with a UTF-8 byte-order mark.
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + b"x,f\n1.0,2.0\n2.0,3.0\n3.0,5.5\n")
+        tbl = table_from_csv(str(path))
+        assert tbl.domain == (1.0, 3.0)
+        assert tbl.monotonicity is Monotonicity.UNKNOWN
+        assert np.allclose(tbl.fs, [2.0, 3.0, 5.5])
 
 
 @pytest.mark.parametrize(
