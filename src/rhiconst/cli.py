@@ -15,6 +15,7 @@ domain error, 3 numeric failure, 4 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -359,7 +360,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it found it.
     parser = argparse.ArgumentParser(
         prog="rhiconst",
         description="Reverse Holder constants on the half-line and under even extension.",

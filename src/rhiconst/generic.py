@@ -75,7 +75,7 @@ _EPS_TAIL_FLOOR = 1e-6
 # calls are bounded by means._NODE_BUDGET on their own.  A table pass
 # holds O(1) state per window and is not sliced: a round of the table
 # polish scores at most tables._POLISH_PAIRS * 81 windows.
-_SCORE_SLICE = 512
+_SCORE_SLICE = 1024
 
 # The gain below which a round of a table polish ends it.  Table means are
 # exact, so the polish can settle to near rounding instead of to the

@@ -22,40 +22,53 @@ Pieces are integrated with composite 16-point Gauss-Legendre panels.
 Origin-anchored pieces are integrated after the substitution x = T * u**p
 with p chosen from the known power behavior of f**r near 0, which turns
 an integrable endpoint blowup into a function vanishing at least
-quadratically; the u-mesh is graded geometrically toward 0.  Other
-pieces get a linear or geometric mesh depending on the endpoint ratio.
-The mesh is refined by whole levels and the error estimate is the
-difference between the last two levels.  Linear and geometric meshes
-double at each level and are integrated afresh.  A new origin-anchored
-level splits only the first u-cell, the one next to 0, into five: its
-piece keeps the sums of the other cells from the level before and
-integrates the five new ones.  Its error estimate therefore measures the
-cells next to 0 only; a feature farther right is never refined.  Inputs
-never get evaluated at panel edges, only at interior Gauss nodes, so an
-endpoint blowup of f itself is harmless.
+quadratically.  Every origin-anchored piece of a level and p uses one
+shared u-mesh, graded geometrically toward 0 (_mesh): its nodes are
+T * u**p, or log T + p * log u in log space, and its weights
+p * u**(p-1) times the Gauss weights are one constant per mesh, so T
+multiplies each 16-node cell sum instead of every node.  Other pieces get
+a linear or geometric mesh depending on the endpoint ratio.  The mesh is
+refined by whole levels and the error estimate is the difference between
+the last two levels.  Linear and geometric meshes double at each level
+and are integrated afresh.  A new origin-anchored level splits only the
+first u-cell, the one next to 0, into five: its piece keeps the sums of
+the other cells from the level before and integrates the five new ones.
+Its error estimate therefore measures the cells next to 0 only; a feature
+farther right is never refined.  Inputs never get evaluated at panel
+edges, only at interior Gauss nodes, so an endpoint blowup of f itself is
+harmless.
 
 A pass computes the means of one or more orders over a batch of
 intervals: it splits and de-duplicates the pieces once, all intervals
 advance a level together with every order, and the pieces of the
 intervals still refining are integrated in rectangular blocks of one rule
-and cell count (origin-anchored pieces share their u-mesh and differ only
-in scale).  Equal pieces are integrated once per level and order, while
-any interval owning them still refines that order, and the integral is
-handed to each owner; the straddles (-eps*b, b) of one b all share
+and cell count.  Equal pieces are integrated once per level and order,
+while any interval owning them still refines that order, and the integral
+is handed to each owner; the straddles (-eps*b, b) of one b all share
 (0, b).  A block is cut into chunks of at most _NODE_BUDGET new nodes per
 integrand call, which bounds memory whatever the batch size.  Orders with
-the same substitution exponent p build each chunk's nodes once; when the
-input's f**r is the default power of f.evaluate (AffinePower, ExpDecay),
-they also evaluate f there once and raise it to each order.  Otherwise
-(PowerLaw folds its exponents) each order calls power_values on chunks of
-its own pieces.  Each piece is summed on its own (an origin-anchored
-piece sums each cell's nodes, then its cell sums in cell order, so its
-integral depends only on its right end, the level, the order and the
-exponent s), an interval's pieces are added in order, and each interval
-keeps the scalar convergence test for each order, so a mean depends
-neither on the batch it is in nor on the other orders of its pass;
-quad_mean and mean_ratio are batches of one, mean_ratios scores many
-intervals at once.
+the same substitution exponent p build each chunk's nodes once, and the
+input decides how f**r is taken there, on one of three paths:
+
+* "log", when the input overrides log_values (AffinePower): the orders
+  share one log f, from log x on the mesh of origin-anchored pieces and
+  np.log(x) elsewhere, and each takes f**r = exp(r * log f);
+* "evaluate", when f**r is the default power of f.evaluate (ExpDecay):
+  the orders share one f.evaluate and raise it to each order, while an
+  order alone calls power_values;
+* "power", otherwise (PowerLaw folds its exponents): each order calls
+  power_values on chunks of its own pieces.
+
+Each piece is summed on its own (an origin-anchored piece reduces each
+cell's 16 weighted values with one einsum, then adds its cell sums in
+cell order, so its integral depends only on its right end, the level, the
+order and the exponent s), an interval's pieces are added in order, and
+each interval keeps the scalar convergence test for each order.  Totals
+become means by whole-array np.log and np.exp, and every transcendental
+call gets a contiguous array, so numpy takes the same vector path in a
+batch as alone: a mean depends neither on the batch it is in nor on the
+other orders of its pass.  quad_mean and mean_ratio are batches of one,
+mean_ratios scores many intervals at once.
 
 A ratio takes both means in one pass, the beta mean leading.  An
 interval's alpha mean is integrated beside its beta mean at every level
@@ -77,6 +90,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -144,6 +158,16 @@ class FunctionSpec:
         one-step version.
         """
         return np.power(self.evaluate(x), order)
+
+    def log_values(self, logx: np.ndarray) -> np.ndarray:
+        """Pointwise log f(x) at x = exp(logx).
+
+        The default composes evaluate with exp and log.  Subclasses that
+        know log f in closed form override this: the quadrature then takes
+        every order's f**order as exp(order * log f), from log x on the
+        shared mesh of origin-anchored pieces, where x itself may underflow.
+        """
+        return np.log(self.evaluate(np.exp(logx)))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -219,6 +243,16 @@ class AffinePower(FunctionSpec):
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.scale * np.power(x, self.gamma) + self.offset
+
+    def log_values(self, logx: np.ndarray) -> np.ndarray:
+        if self.offset == 0.0:
+            return math.log(self.scale) + self.gamma * logx
+        # In place: few node-sized arrays are alive at once.
+        f = np.multiply(logx, self.gamma)
+        np.exp(f, out=f)
+        f *= self.scale
+        f += self.offset
+        return np.log(f, out=f)
 
     def zero_power_exponent(self, order: float) -> float | None:
         # A negative gamma blows up at 0 regardless of the offset; a
@@ -461,89 +495,81 @@ def _cells(kind: str, level: int) -> int:
 class _Mesh(NamedTuple):
     """What the pieces of one kind share at a level, whatever their ends.
 
-    Origin-anchored pieces share their u-mesh ``edges`` and, under x =
-    T * u**p with p != 1, its Gauss nodes' u**p and u**(p-1) and the
-    weights half * _GL_WEIGHTS.  Linear and geometric pieces share only
-    their cell count.
+    Origin-anchored pieces share their u-mesh.  Under x = T * u**p a
+    piece's nodes are T * up and their logs log T + logup, and its cell
+    integrals are T times the sums of its values weighted by ``weights``,
+    p * u**(p-1) times the Gauss weights, one row of 16 per cell.  Linear
+    and geometric pieces share only their cell count.
     """
 
     kind: str
     cells: int
-    p: float = 1.0
-    edges: np.ndarray | None = None
     up: np.ndarray | None = None
-    up1: np.ndarray | None = None
-    hw: np.ndarray | None = None
+    logup: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
 
-def _mesh(kind: str, level: int, p: float = 1.0, edges: np.ndarray | None = None) -> _Mesh:
-    """The mesh of the cells a piece of ``kind`` integrates at a level.
-
-    For origin-anchored pieces those are the cells new next to 0, or the
-    cells of ``edges`` when given.
+@functools.lru_cache(maxsize=4 * _QUAD_MAX_LEVELS)
+def _mesh(kind: str, level: int, p: float = 1.0) -> _Mesh:
+    """The mesh of the cells a piece of ``kind`` integrates at a level: for
+    origin-anchored pieces, the cells new next to 0.  The meshes of a pass
+    (two values of p and the two other kinds, at each level) stay cached,
+    their arrays read-only.
     """
     if kind != "zero":
         return _Mesh(kind, _cells(kind, level))
-    if edges is None:
-        edges = _zero_edges(level)[: _cells(kind, level) + 1]
-    if p == 1.0:
-        return _Mesh(kind, len(edges) - 1, p, edges)
+    return _zero_mesh(_zero_edges(level)[: _cells(kind, level) + 1], p)
+
+
+def _zero_mesh(edges: np.ndarray, p: float) -> _Mesh:
+    """The mesh shared by origin-anchored pieces on the u-cells of edges."""
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    return _Mesh(
-        kind, len(edges) - 1, p, edges, u**p, u ** (p - 1.0), (half[:, None] * _GL_WEIGHTS).ravel()
-    )
+    u = mid[:, None] + half[:, None] * _GL_NODES
+    weights = p * u ** (p - 1.0) * (half[:, None] * _GL_WEIGHTS)
+    mesh = _Mesh("zero", len(edges) - 1, (u**p).ravel(), p * np.log(u).ravel(), weights)
+    for shared in mesh[2:]:
+        shared.setflags(write=False)
+    return mesh
 
 
-def _nodes(mesh: _Mesh, lo, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes of the pieces (lo[i], hi[i]) on a mesh, one row of
-    cells * 16 per piece, and per row what _weigh needs besides the mesh:
-    the nodes' Gauss weights, or the right ends under x = hi * u**p.
+def _nodes(mesh: _Mesh, lo, hi: np.ndarray, log: bool = False):
+    """Gauss nodes of the pieces (lo[i], hi[i]) on a mesh, or their logs,
+    one row of cells * 16 per piece, and the rows' Gauss weights, None for
+    origin-anchored pieces, whose weights are the mesh's.
 
     Nodes stay strictly interior.  An origin-anchored piece ignores lo.
     """
-    if mesh.up is not None:
-        # x = hi * u**p: the u-mesh is shared, only the scale differs per row.
-        return hi[:, None] * mesh.up, hi
     if mesh.kind == "zero":
-        edges = hi[:, None] * mesh.edges
-    else:
-        space = np.geomspace if mesh.kind == "geo" else np.linspace
-        edges = space(lo, hi, mesh.cells + 1, axis=1)
+        if log:
+            return np.log(hi)[:, None] + mesh.logup, None
+        return hi[:, None] * mesh.up, None
+    space = np.geomspace if mesh.kind == "geo" else np.linspace
+    edges = space(lo, hi, mesh.cells + 1, axis=1)
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     rows = len(edges)
-    x = mid[:, :, None] + half[:, :, None] * _GL_NODES
-    return x.reshape(rows, -1), (half[:, :, None] * _GL_WEIGHTS).reshape(rows, -1)
+    x = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(rows, -1)
+    weights = (half[:, :, None] * _GL_WEIGHTS).reshape(rows, -1)
+    return (np.log(x) if log else x), weights
 
 
-def _weigh(mesh: _Mesh, weights: np.ndarray, vals: np.ndarray, out=None) -> np.ndarray:
-    """Weighted node values from rows of what _nodes returns besides the
-    nodes and the f**order values at those nodes.
+def _sums(mesh: _Mesh, hi: np.ndarray, weights, vals: np.ndarray) -> np.ndarray:
+    """Integrals of pieces from rows of their node values and what _nodes
+    returns: per cell for an origin-anchored piece, shape (rows, cells), so
+    that a cell's integral depends only on its edges, the right end and p;
+    over the whole row for any other piece.
 
-    The products are taken in place so that few node-sized arrays are
-    alive at once: into out (vals, when the caller may overwrite it) with
-    Gauss weights, into a new array under x = hi * u**p.
-    """
-    if mesh.up is None:
-        return np.multiply(weights, vals, out=out)
-    weighted = (mesh.p * weights)[:, None] * mesh.up1
-    weighted *= vals
-    weighted *= mesh.hw
-    return weighted
-
-
-def _sums(mesh: _Mesh, weighted: np.ndarray) -> np.ndarray:
-    """Sums of each piece's weighted node values: per cell for an
-    origin-anchored piece, shape (rows, cells), so that a cell's integral
-    depends only on its edges, the right end and p; over the whole row for
-    any other piece.  Each row is summed over its own contiguous block, so
-    its sums do not depend on the other rows.
+    An origin-anchored row's cells are reduced by einsum, 16 nodes against
+    the mesh's weights, and then scaled by the row's right end; no row's
+    sums depend on the other rows.  (A matmul would not do: its BLAS
+    small-matrix paths can change the bits with the row count.)
     """
     if mesh.kind == "zero":
-        return np.sum(weighted.reshape(len(weighted), mesh.cells, 16), axis=2)
-    return np.sum(weighted, axis=1)
+        cells = np.einsum("rck,ck->rc", vals.reshape(len(vals), mesh.cells, 16), mesh.weights)
+        cells *= hi[:, None]
+        return cells
+    return np.sum(weights * vals, axis=1)
 
 
 def _zero_anchored_rows(new: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -627,12 +653,10 @@ class _Order:
         self.needed = self.distinct = self.next = None
         self.taken = 0
 
-    def keep(self, mesh: _Mesh, q: np.ndarray, rows, weighted: np.ndarray) -> None:
-        """Store the integrals of the distinct pieces q[rows] at this level
-        from their weighted node values; origin-anchored pieces arrive in
-        the order of zq.
+    def keep(self, mesh: _Mesh, q: np.ndarray, rows, sums: np.ndarray) -> None:
+        """Store the integrals of the distinct pieces q[rows] at this level,
+        as _sums gives them; origin-anchored pieces arrive in the order of zq.
         """
-        sums = _sums(mesh, weighted)
         if mesh.kind == "zero":
             k = slice(self.taken, self.taken + len(sums))
             self.taken += len(sums)
@@ -670,16 +694,13 @@ class _Order:
         )
         good = ok & (total >= 1e-300)
         act, total = act[good], total[good]
-        # math, not numpy: np.log and np.exp can differ from these in the
-        # last bit, which would move every reported value.
-        logs = [math.log(t) for t in (total / lengths[act]).tolist()]
         with np.errstate(over="ignore"):  # an overflow fails below, as > 700
-            exponent = np.array(logs) / self.order
+            exponent = np.log(total / lengths[act]) / self.order
         self.fail(act[exponent > 700.0], NumericError("mean overflows double range"))
         self.fail(act[exponent < -700.0], NumericError("mean underflows double range"))
         inside = np.abs(exponent) <= 700.0
         act, exponent = act[inside], exponent[inside]
-        value = np.array([math.exp(e) for e in exponent.tolist()])
+        value = np.exp(exponent)
         diff = np.abs(value - self.previous[act])  # NaN, so never converged, at level 0
         scale = 1.0 + np.abs(value)
         tols = self.tols
@@ -767,9 +788,15 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
     ]
     lead = passes[0]
     lengths = hi - lo
-    # Orders whose f**order is the default power of evaluate share one
-    # evaluation of f at their shared nodes.
-    shared = type(base).power_values is FunctionSpec.power_values
+    # Orders share one evaluation of log f at their shared nodes when the
+    # input knows log f, or one of f when their f**order is the default
+    # power of evaluate; otherwise each order calls power_values.
+    if type(base).log_values is not FunctionSpec.log_values:
+        path = "log"
+    elif type(base).power_values is FunctionSpec.power_values:
+        path = "evaluate"
+    else:
+        path = "power"
 
     for level in range(_QUAD_MAX_LEVELS):
         for o in passes[1:]:
@@ -793,8 +820,8 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
                 by_p.setdefault(o.p if kind == "zero" else 1.0, []).append(o)
             for p, same in by_p.items():
                 mesh = _mesh(kind, level, p)
-                for group in [same] if shared else [[o] for o in same]:
-                    _integrate(base, mesh, qs, ulo, uhi, group)
+                for group in [[o] for o in same] if path == "power" else [same]:
+                    _integrate(base, mesh, qs, ulo, uhi, group, path)
         for o in live:
             if len(o.zq):
                 o.zcells = o.next
@@ -811,14 +838,18 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
     return [(o.values, o.diffs, o.errors) for o in passes]
 
 
-def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group) -> None:
+def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group, path: str) -> None:
     """One level of the pieces qs on a mesh for a group of orders.
 
     A piece is integrated for an order only while that order needs it.
     The pieces any order of the group needs are cut into chunks of at
-    most _NODE_BUDGET nodes.  A chunk builds its nodes once; an order
-    alone calls f.power_values on its rows, several orders share one
-    f.evaluate and each raises its rows to its own power.
+    most _NODE_BUDGET nodes.  A chunk builds its nodes once.  On the "log"
+    path the group shares one f.log_values and each order takes exp of its
+    multiple of it; on the "evaluate" path several orders share one
+    f.evaluate and each raises its rows to its own power, while an order
+    alone calls f.power_values, as every order does on the "power" path.
+    Every transcendental call gets a contiguous array, so numpy takes the
+    same vector path whatever the batch.
     """
     need = group[0].needed if len(group) == 1 else np.any([o.needed for o in group], axis=0)
     qs = qs[need[qs]]
@@ -826,19 +857,25 @@ def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group) -> None:
     # Deliberately quiet: an overflowing cell makes its row's total
     # non-finite, which fails its interval with a clearer message than the
     # warning.  divide fires when a deep exp tail underflows to 0 under a
-    # negative order, and invalid when a node x = T * u**p underflows to 0
-    # where f**order is infinite (0 * inf); both are handled the same way.
+    # negative order, and invalid when a node x = T * u**p, or its weight,
+    # underflows to 0 where f**order is infinite (0 * inf); both are
+    # handled the same way.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, len(qs), step):
             q = qs[start : start + step]
-            x, weights = _nodes(mesh, ulo[q], uhi[q])
-            if len(group) == 1:
+            hi = uhi[q]
+            # x holds log x on the "log" path.
+            x, weights = _nodes(mesh, ulo[q], hi, log=path == "log")
+            if path == "log":
+                fx = base.log_values(x.ravel()).reshape(x.shape)
+            elif len(group) == 1:
                 [o] = group
                 vals = base.power_values(x.ravel(), o.order).reshape(x.shape)
                 del x
-                o.keep(mesh, q, slice(None), _weigh(mesh, weights, vals))
+                o.keep(mesh, q, slice(None), _sums(mesh, hi, weights, vals))
                 continue
-            fx = base.evaluate(x.ravel()).reshape(x.shape)
+            else:
+                fx = base.evaluate(x.ravel()).reshape(x.shape)
             del x
             for o in group:
                 rows = o.needed[q]
@@ -846,8 +883,13 @@ def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group) -> None:
                     rows = slice(None)
                 elif not rows.any():
                     continue
-                vals = np.power(fx[rows], o.order)
-                o.keep(mesh, q, rows, _weigh(mesh, weights[rows], vals, out=vals))
+                if path == "log":
+                    vals = np.multiply(fx[rows], o.order)
+                    np.exp(vals, out=vals)
+                else:
+                    vals = np.power(fx[rows], o.order)
+                row_weights = None if weights is None else weights[rows]
+                o.keep(mesh, q, rows, _sums(mesh, hi[rows], row_weights, vals))
 
 
 def _bounds(intervals) -> tuple[np.ndarray, np.ndarray]:

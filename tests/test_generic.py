@@ -199,7 +199,7 @@ def test_table_without_declared_monotonicity_gets_full_search():
         ),
         (
             lambda: estimate_halfline(AffinePower(2.0, 0.5, 1.0), ExponentPair(-1.0, 1.0)),
-            (1.275117068507732, 0.0, 999.9999999999998, 73, True),
+            (1.2751170685077322, 0.0, 999.9999999999998, 73, True),
         ),
         (
             lambda: generic._halfline_2d(ExpDecay(1.0), ExponentPair(1.0, 2.0)),

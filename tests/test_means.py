@@ -52,6 +52,20 @@ def test_singular_mean_matches_closed_form():
     )
 
 
+@pytest.mark.parametrize("T", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize(
+    "gamma, order",
+    [(-0.9, 1.0), (0.25, -2.0), (-0.5, -1.0), (1.5, 2.0)],
+    ids=["s=-0.9", "s=-0.5", "s=0.5", "s=3"],
+)
+def test_log_space_origin_mean_matches_closed_form(gamma, order, T):
+    # AffinePower with no offset takes f**order as exp(order * log f), with
+    # log f = log a + gamma * log x and log x from the shared u-mesh.
+    a = 2.5
+    got = quad_mean(AffinePower(a, gamma, 0.0), Interval(0.0, T), order).value
+    assert math.isclose(got, a * power_mean_closed(gamma, order, T), rel_tol=1e-9)
+
+
 def test_mean_ratio_of_identity_on_unit_offset_interval():
     r = mean_ratio(PowerLaw(1.0), Interval(1.0, 2.0), ExponentPair(1.0, 2.0))
     assert math.isclose(r, RATIO_ID_1_2, rel_tol=1e-9)
@@ -286,14 +300,14 @@ def test_origin_anchored_level_from_the_last_equals_whole_mesh(s):
 
     def cells(mesh):
         x, weights = means._nodes(mesh, None, his)
-        return means._sums(mesh, means._weigh(mesh, weights, fo(x.ravel()).reshape(x.shape)))
+        return means._sums(mesh, his, weights, fo(x.ravel()).reshape(x.shape))
 
     rows = np.zeros((len(his), 0))
     for level in range(7):
         sizes.clear()
         rows = means._zero_anchored_rows(cells(means._mesh("zero", level, p)), rows)
         assert sizes == [len(his) * 16 * (11 if level == 0 else 5)]
-        whole = cells(means._mesh("zero", level, p, means._zero_edges(level)))
+        whole = cells(means._zero_mesh(means._zero_edges(level), p))
         assert rows.shape == (len(his), 11 + 4 * level)
         assert rows.tolist() == whole.tolist()
         assert np.sum(rows, axis=1).tolist() == np.sum(whole, axis=1).tolist()
@@ -444,17 +458,41 @@ def test_table_window_integral_is_no_prefix_difference():
     assert math.isclose(ratio, want, rel_tol=1e-12)
 
 
-def test_batches_across_chunk_boundaries_equal_scalar_calls():
+def test_batches_across_chunk_boundaries_equal_scalar_calls(monkeypatch):
     # Origin-anchored rows have 11 cells of 16 nodes at level 0, so
     # per_chunk of them fill one integrand call; the sizes below put the
     # first level's chunk boundary just inside and just past the batch.
     per_chunk = means._NODE_BUDGET // (16 * 11)
-    f, pair = AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0)
+    pair = ExponentPair(-1.0, 1.0)
     ends = np.geomspace(1e-3, 1e3, per_chunk + 1).tolist()
-    for size in (1, per_chunk - 1, per_chunk + 1):
-        intervals = [Interval(0.0, b) for b in ends[:size]]
-        got = mean_ratios(f, intervals, pair)
-        assert got.tolist() == [mean_ratio(f, iv, pair) for iv in intervals]
+    for f in (AffinePower(1.0, -0.3, 0.0), AffinePower(1.0, -0.3, 0.5)):
+        for size in (1, per_chunk - 1, per_chunk + 1):
+            intervals = [Interval(0.0, b) for b in ends[:size]]
+            got = mean_ratios(f, intervals, pair)
+            assert got.tolist() == [mean_ratio(f, iv, pair) for iv in intervals]
+
+    # Straddles whose orders share p = 1 and so one log f per chunk.  At
+    # some level the beta mean still refines pieces whose alpha mean has
+    # converged, next to pieces that alpha still needs: alpha takes a
+    # subset of the chunk's rows.
+    subsets = []
+    keep = means._Order.keep
+
+    def recording(self, mesh, q, rows, sums):
+        if not isinstance(rows, slice):
+            subsets.append((int(np.sum(rows)), len(q)))
+        keep(self, mesh, q, rows, sums)
+
+    monkeypatch.setattr(means._Order, "keep", recording)
+    ext = EvenExtensionView(AffinePower(1.0, 0.5, 0.5))
+    intervals = [
+        Interval(-eps * b, b)
+        for b in np.geomspace(1e-2, 1e2, 12).tolist()
+        for eps in (1e-6, 1e-3, 0.1, 0.5, 1.0)
+    ]
+    got = mean_ratios(ext, intervals, pair)
+    assert subsets and all(0 < taken < rows for taken, rows in subsets)
+    assert got.tolist() == [mean_ratio(ext, iv, pair) for iv in intervals]
 
 
 def _scalar_ratio(f, interval: Interval, pair: ExponentPair) -> float:
@@ -477,9 +515,9 @@ def _mixed_batch() -> list[Interval]:
 @pytest.mark.parametrize(
     "f, pair, shared, pinned",
     [
-        (AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0), True, (1.0833886196051998, 1.0644984489928306)),
-        (AffinePower(1.0, -0.5, 0.5), ExponentPair(-2.0, -1.0), True, (1.0565713770532412, 1.0333412375901594)),
-        (AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0), False, (1.1439877893557489, 1.0738727002662218)),
+        (AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0), True, (1.0833886196051998, 1.0644984489928309)),
+        (AffinePower(1.0, -0.5, 0.5), ExponentPair(-2.0, -1.0), True, (1.0565713770532414, 1.0333412375901594)),
+        (AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0), False, (1.143987789355749, 1.0738727002662218)),
         (PowerLaw(1.5), ExponentPair(1.0, 2.0), False, (1.3069436902921092, 1.24374672763188)),
         (ExpDecay(1.0), ExponentPair(1.0, 2.0), True, (1.0902818868320618, 1.1433145985143636)),
     ],
