@@ -24,19 +24,20 @@ with p chosen from the known power behavior of f**r near 0, which turns
 an integrable endpoint blowup into a function vanishing at least
 quadratically.  Every origin-anchored piece of a level and p uses one
 shared u-mesh, graded geometrically toward 0 (_mesh): its nodes are
-T * u**p, or log T + p * log u in log space, and its weights
-p * u**(p-1) times the Gauss weights are one constant per mesh, so T
-multiplies each 16-node cell sum instead of every node.  Other pieces get
-a linear or geometric mesh depending on the endpoint ratio.  The mesh is
-refined by whole levels and the error estimate is the difference between
-the last two levels.  Linear and geometric meshes double at each level
-and are integrated afresh.  A new origin-anchored level splits only the
-first u-cell, the one next to 0, into five: its piece keeps the sums of
-the other cells from the level before and integrates the five new ones.
-Its error estimate therefore measures the cells next to 0 only; a feature
-farther right is never refined.  Inputs never get evaluated at panel
-edges, only at interior Gauss nodes, so an endpoint blowup of f itself is
-harmless.
+T * u**p, and its weights p * u**(p-1) times the Gauss weights are one
+constant per mesh, so a cell's integral is T times the sum of its 16
+weighted values.  Other pieces get a linear or geometric mesh depending
+on the endpoint ratio.  The mesh is refined by whole levels and the error
+estimate is the difference between the last two levels.  Linear and
+geometric meshes double at each level and are integrated afresh.  A new
+origin-anchored level splits only the first u-cell, the one next to 0,
+into five and integrates those: its piece keeps a single running sum, of
+its cells other than the first, adds the four new cells after the first
+to it, and the new first cell to that for the level's integral
+(_origin_sums).  Its error estimate therefore measures the cells next to
+0 only; a feature farther right is never refined.  Inputs never get
+evaluated at panel edges, only at interior Gauss nodes, so an endpoint
+blowup of f itself is harmless.
 
 A pass computes the means of one or more orders over a batch of
 intervals: it splits and de-duplicates the pieces once, all intervals
@@ -51,8 +52,13 @@ the same substitution exponent p build each chunk's nodes once, and the
 input decides how f**r is taken there, on one of three paths:
 
 * "log", when the input overrides log_values (AffinePower): the orders
-  share one log f, from log x on the mesh of origin-anchored pieces and
-  np.log(x) elsewhere, and each takes f**r = exp(r * log f);
+  share one log f and each takes f**r = exp(r * log f).  log_values gets
+  the chunk's Nodes: on origin-anchored pieces the right ends T and the
+  mesh, elsewhere np.log(x).  From them it takes log x, as log T +
+  p * log u where x itself may underflow, or a * x**g, as
+  (a * T**g) * u**(p*g) with the last factor once per mesh and g, which
+  leaves log f of a * x**g + c one log per node, and a value that a
+  factor of it would take out of range to a * exp(g * log x);
 * "evaluate", when f**r is the default power of f.evaluate (ExpDecay):
   the orders share one f.evaluate and raise it to each order, while an
   order alone calls power_values;
@@ -60,15 +66,17 @@ input decides how f**r is taken there, on one of three paths:
   power_values on chunks of its own pieces.
 
 Each piece is summed on its own (an origin-anchored piece reduces each
-cell's 16 weighted values with one einsum, then adds its cell sums in
-cell order, so its integral depends only on its right end, the level, the
-order and the exponent s), an interval's pieces are added in order, and
-each interval keeps the scalar convergence test for each order.  Totals
-become means by whole-array np.log and np.exp, and every transcendental
-call gets a contiguous array, so numpy takes the same vector path in a
-batch as alone: a mean depends neither on the batch it is in nor on the
-other orders of its pass.  quad_mean and mean_ratio are batches of one,
-mean_ratios scores many intervals at once.
+new cell's 16 weighted values with one einsum and adds the cell sums to
+its running sum in a fixed order, so its integral depends only on its
+right end, the level, the order and the exponent s), an interval's pieces
+are added in order, and each interval keeps the scalar convergence test
+for each order; a failing interval gets the error of the first check it
+fails, and an error is built only for a check that some interval fails.
+Totals become means by whole-array np.log and np.exp, and every
+transcendental call gets a contiguous array, so numpy takes the same
+vector path in a batch as alone: a mean depends neither on the batch it
+is in nor on the other orders of its pass.  quad_mean and mean_ratio are
+batches of one, mean_ratios scores many intervals at once.
 
 A ratio takes both means in one pass, the beta mean leading.  An
 interval's alpha mean is integrated beside its beta mean at every level
@@ -159,15 +167,17 @@ class FunctionSpec:
         """
         return np.power(self.evaluate(x), order)
 
-    def log_values(self, logx: np.ndarray) -> np.ndarray:
-        """Pointwise log f(x) at x = exp(logx).
+    def log_values(self, nodes: Nodes) -> np.ndarray:
+        """log f at quadrature nodes, one row per piece as nodes holds them.
 
         The default composes evaluate with exp and log.  Subclasses that
         know log f in closed form override this: the quadrature then takes
-        every order's f**order as exp(order * log f), from log x on the
-        shared mesh of origin-anchored pieces, where x itself may underflow.
+        every order's f**order as exp(order * log f), from nodes.log() or
+        nodes.scaled_power(), which stay in range on the shared mesh of
+        origin-anchored pieces, where x itself may underflow.
         """
-        return np.log(self.evaluate(np.exp(logx)))
+        x = np.exp(nodes.log())
+        return np.log(self.evaluate(x.ravel())).reshape(x.shape)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -244,13 +254,11 @@ class AffinePower(FunctionSpec):
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.scale * np.power(x, self.gamma) + self.offset
 
-    def log_values(self, logx: np.ndarray) -> np.ndarray:
+    def log_values(self, nodes: Nodes) -> np.ndarray:
         if self.offset == 0.0:
-            return math.log(self.scale) + self.gamma * logx
+            return math.log(self.scale) + self.gamma * nodes.log()
         # In place: few node-sized arrays are alive at once.
-        f = np.multiply(logx, self.gamma)
-        np.exp(f, out=f)
-        f *= self.scale
+        f = nodes.scaled_power(self.scale, self.gamma)
         f += self.offset
         return np.log(f, out=f)
 
@@ -504,6 +512,8 @@ class _Mesh(NamedTuple):
 
     kind: str
     cells: int
+    level: int | None = None
+    p: float = 1.0
     up: np.ndarray | None = None
     logup: np.ndarray | None = None
     weights: np.ndarray | None = None
@@ -518,7 +528,7 @@ def _mesh(kind: str, level: int, p: float = 1.0) -> _Mesh:
     """
     if kind != "zero":
         return _Mesh(kind, _cells(kind, level))
-    return _zero_mesh(_zero_edges(level)[: _cells(kind, level) + 1], p)
+    return _zero_mesh(_zero_edges(level)[: _cells(kind, level) + 1], p)._replace(level=level)
 
 
 def _zero_mesh(edges: np.ndarray, p: float) -> _Mesh:
@@ -527,23 +537,92 @@ def _zero_mesh(edges: np.ndarray, p: float) -> _Mesh:
     half = 0.5 * (edges[1:] - edges[:-1])
     u = mid[:, None] + half[:, None] * _GL_NODES
     weights = p * u ** (p - 1.0) * (half[:, None] * _GL_WEIGHTS)
-    mesh = _Mesh("zero", len(edges) - 1, (u**p).ravel(), p * np.log(u).ravel(), weights)
-    for shared in mesh[2:]:
+    mesh = _Mesh("zero", len(edges) - 1, None, p, (u**p).ravel(), p * np.log(u).ravel(), weights)
+    for shared in mesh[4:]:
         shared.setflags(write=False)
     return mesh
 
 
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+
+
+@functools.lru_cache(maxsize=8 * _QUAD_MAX_LEVELS)
+def _mesh_powers(level: int, p: float, g: float):
+    """u**(p*g) at the nodes of the origin-anchored mesh of a level and p,
+    as exp(g * logup), read-only, and the nodes where it is no normal
+    double (such as g < 0 next to 0 at large p), None if there are none.
+    """
+    with np.errstate(over="ignore"):  # an overflow is outside, like an underflow
+        powers = np.exp(g * _mesh("zero", level, p).logup)
+    outside = np.flatnonzero(~((powers >= _TINY) & (powers <= _HUGE)))
+    powers.setflags(write=False)
+    return powers, (outside if len(outside) else None)
+
+
+def _outer(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """t[i] * v[j] for every row i: one product per entry, as a broadcast
+    multiply gives it, but einsum takes fewer passes over the entries."""
+    return np.einsum("r,n->rn", t, v)
+
+
+def _exp_power(a: float, g: float, logx: np.ndarray) -> np.ndarray:
+    """a * exp(g * logx) as a new array."""
+    f = np.multiply(logx, g)
+    np.exp(f, out=f)
+    f *= a
+    return f
+
+
+class Nodes(NamedTuple):
+    """Quadrature nodes as FunctionSpec.log_values receives them: one row
+    of abscissae x per piece.
+
+    The rows of origin-anchored pieces are x = t * u**p, with t the
+    piece's right end and u**p one row of the mesh they share; any other
+    rows hold log x itself.
+    """
+
+    logx: np.ndarray | None = None
+    t: np.ndarray | None = None
+    mesh: _Mesh | None = None
+
+    def log(self) -> np.ndarray:
+        """log x, as log t + p * log u on a shared mesh; not to be written to."""
+        if self.mesh is None:
+            return self.logx
+        return np.log(self.t)[:, None] + self.mesh.logup
+
+    def scaled_power(self, a: float, g: float) -> np.ndarray:
+        """a * x**g as a new array: a * exp(g * log x), except on a shared
+        mesh, where it is (a * t**g) * u**(p*g) with the second factor
+        computed once per mesh and g.  Where either factor is no normal
+        double, a node takes a * exp(g * log x) instead, so that a value
+        in range stays in range.
+        """
+        if self.mesh is None:
+            return _exp_power(a, g, self.logx)
+        logup = self.mesh.logup
+        powers, outside = _mesh_powers(self.mesh.level, self.mesh.p, g)
+        scale = a * np.power(self.t, g)
+        f = _outer(scale, powers)
+        if outside is not None:
+            f[:, outside] = _exp_power(a, g, np.log(self.t)[:, None] + logup[outside])
+        if not (_TINY <= scale.min() and scale.max() <= _HUGE):
+            wide = (scale < _TINY) | (scale > _HUGE)
+            f[wide] = _exp_power(a, g, np.log(self.t[wide])[:, None] + logup)
+        return f
+
+
 def _nodes(mesh: _Mesh, lo, hi: np.ndarray, log: bool = False):
-    """Gauss nodes of the pieces (lo[i], hi[i]) on a mesh, or their logs,
-    one row of cells * 16 per piece, and the rows' Gauss weights, None for
-    origin-anchored pieces, whose weights are the mesh's.
+    """Gauss nodes of the pieces (lo[i], hi[i]) on a mesh, or for pieces
+    that are not origin-anchored their logs, one row of cells * 16 per
+    piece, and the rows' Gauss weights, None for origin-anchored pieces,
+    whose weights are the mesh's.
 
     Nodes stay strictly interior.  An origin-anchored piece ignores lo.
     """
     if mesh.kind == "zero":
-        if log:
-            return np.log(hi)[:, None] + mesh.logup, None
-        return hi[:, None] * mesh.up, None
+        return _outer(hi, mesh.up), None
     space = np.geomspace if mesh.kind == "geo" else np.linspace
     edges = space(lo, hi, mesh.cells + 1, axis=1)
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
@@ -572,15 +651,22 @@ def _sums(mesh: _Mesh, hi: np.ndarray, weights, vals: np.ndarray) -> np.ndarray:
     return np.sum(weights * vals, axis=1)
 
 
-def _zero_anchored_rows(new: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Cell sums of origin-anchored pieces at a level, from those of the level before.
+def _origin_sums(rest: np.ndarray, cells: np.ndarray):
+    """An origin-anchored level's running sums, from the cell sums of its
+    new cells and rest, the sum its pieces keep of their other cells.
 
     A level splits the first cell of the one before into five and keeps
-    the others, so only the new cells next to 0 are integrated: the row
-    is [new cell sums | previous row without its first cell].  At level 0
-    all 11 cells are new and ``previous`` has no cells.
+    the others, so only the new cells next to 0 are integrated.  The new
+    cells after the first are added to each other from 0 outward and
+    then to rest, which gives the next rest; the first cell is added to
+    that last, which gives the level's integral.  At level 0 all 11 cells
+    are new and rest is 0.
     """
-    return np.concatenate((new, previous[:, 1:]), axis=1)
+    added = cells[:, 1]
+    for k in range(2, cells.shape[1]):
+        added = added + cells[:, k]
+    rest = rest + added
+    return rest, cells[:, 0] + rest
 
 
 def _pieces(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray):
@@ -631,12 +717,12 @@ def _pieces(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray):
 
 class _Order:
     """One order's state in a pass: per interval its tolerance, last value
-    and whether it still refines, and the cell sums its origin-anchored
-    pieces keep from their last level (zq lists those pieces, in the order
-    of zcells' rows).
+    and whether it still refines; per distinct piece the level's integral
+    and, for an origin-anchored piece, the running sum of its cells other
+    than the first (_origin_sums).
     """
 
-    def __init__(self, base: FunctionSpec, order: float, n: int, tol, tighten, errors, zq) -> None:
+    def __init__(self, base: FunctionSpec, order: float, n: int, tol, tighten, errors, pieces: int) -> None:
         self.order = order
         self.p = _substitution_exponent(base.zero_power_exponent(order))
         self.errors = errors
@@ -647,22 +733,17 @@ class _Order:
         self.failed = np.zeros(n, dtype=bool)
         self.failed[list(errors)] = True
         self.active = ~self.failed
-        self.zq, self.zcells = zq, np.zeros((len(zq), 0))
-        # Per level: the distinct pieces needed, their integrals, and the
-        # next level's zcells with how many of its rows are filled.
-        self.needed = self.distinct = self.next = None
-        self.taken = 0
+        # Per distinct piece: whether an interval owning it still refines,
+        # its integral at the last level and its running sum.
+        self.needed = None
+        self.distinct, self.rest = np.zeros(pieces), np.zeros(pieces)
 
     def keep(self, mesh: _Mesh, q: np.ndarray, rows, sums: np.ndarray) -> None:
-        """Store the integrals of the distinct pieces q[rows] at this level,
-        as _sums gives them; origin-anchored pieces arrive in the order of zq.
-        """
+        """Store the integrals of the distinct pieces q[rows] at this level from what _sums gives."""
+        q = q[rows]
         if mesh.kind == "zero":
-            k = slice(self.taken, self.taken + len(sums))
-            self.taken += len(sums)
-            self.next[k] = _zero_anchored_rows(sums, self.zcells[k])
-        else:
-            self.distinct[q[rows]] = sums
+            self.rest[q], sums = _origin_sums(self.rest[q], sums)
+        self.distinct[q] = sums
 
     def fail(self, failed: np.ndarray, exc: RhiError) -> None:
         self.errors.update(dict.fromkeys(failed.tolist(), exc))
@@ -671,48 +752,62 @@ class _Order:
 
     def settle(self, owner: np.ndarray, integrals: np.ndarray, lengths: np.ndarray) -> None:
         """Take a level's piece integrals and end the intervals that converge or fail."""
-        n = len(lengths)
         # bincount adds each interval's pieces to 0 one at a time, in the
         # order they are listed.
-        totals = np.bincount(owner, weights=integrals, minlength=n)
-        finite = np.ones(n, dtype=bool)
-        finite[owner[~np.isfinite(integrals)]] = False
-
+        totals = np.bincount(owner, weights=integrals, minlength=len(lengths))
         act = np.flatnonzero(self.active)
-        total, ok = totals[act], finite[act]
-        self.fail(act[~ok], NumericError("integrand overflowed during quadrature"))
-        self.fail(
-            act[ok & (total <= 0.0)],
-            DomainError("mean undefined: integral of f**order is not positive"),
-        )
-        # Near the subnormal floor the panel sums carry almost no mantissa;
-        # a mean built from them looks plausible but is rounding noise, so
-        # refuse rather than return it.
-        self.fail(
-            act[ok & (total > 0.0) & (total < 1e-300)],
-            NumericError("integral of f**order underflows double range"),
-        )
-        good = ok & (total >= 1e-300)
-        act, total = act[good], total[good]
-        with np.errstate(over="ignore"):  # an overflow fails below, as > 700
+        total = totals[act]
+        # A total or mean out of range fails below; see _fail_out_of_range.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             exponent = np.log(total / lengths[act]) / self.order
-        self.fail(act[exponent > 700.0], NumericError("mean overflows double range"))
-        self.fail(act[exponent < -700.0], NumericError("mean underflows double range"))
-        inside = np.abs(exponent) <= 700.0
-        act, exponent = act[inside], exponent[inside]
+        inside = (total >= 1e-300) & (np.abs(exponent) <= 700.0)
+        if not inside.all():
+            out = ~inside
+            self._fail_out_of_range(act[out], total[out], exponent[out], owner, integrals)
+            act, exponent = act[inside], exponent[inside]
         value = np.exp(exponent)
         diff = np.abs(value - self.previous[act])  # NaN, so never converged, at level 0
-        scale = 1.0 + np.abs(value)
+        scale = 1.0 + value
         tols = self.tols
-        tightened = (diff <= tols[act] * scale) & self.loose[act] & (value < 1.0)
-        t = act[tightened]
-        self.loose[t] = False
-        tols[t] *= value[tightened]
-        self.fail(t[~(tols[t] > 0.0)], DomainError("tolerance must lie in (0, 1)"))
-        done = (diff <= tols[act] * scale) & self.active[act]
-        self.values[act[done]], self.diffs[act[done]] = value[done], diff[done]
-        self.active[act[done]] = False
+        done = diff <= tols[act] * scale
+        tightened = done & self.loose[act] & (value < 1.0)
+        if tightened.any():
+            t = act[tightened]
+            self.loose[t] = False
+            tols[t] *= value[tightened]
+            lost = t[~(tols[t] > 0.0)]
+            if len(lost):
+                self.fail(lost, DomainError("tolerance must lie in (0, 1)"))
+            done = (diff <= tols[act] * scale) & self.active[act]
+        ended = act[done]
+        self.values[ended], self.diffs[ended] = value[done], diff[done]
+        self.active[ended] = False
         self.previous[act] = value
+
+    def _fail_out_of_range(self, act, total, exponent, owner, integrals) -> None:
+        """Fail the intervals act, whose totals or means left range, each
+        with the error of the first check it fails.  An interval whose
+        total is finite has only finite pieces, so a non-finite piece is
+        looked for only here.
+        """
+        broken = np.zeros(len(self.active), dtype=bool)
+        broken[owner[~np.isfinite(integrals)]] = True
+        # Near the subnormal floor the panel sums carry almost no mantissa;
+        # a mean built from them looks plausible but is rounding noise, so
+        # it is refused rather than returned.
+        checks = (
+            (broken[act], NumericError, "integrand overflowed during quadrature"),
+            (total <= 0.0, DomainError, "mean undefined: integral of f**order is not positive"),
+            (total < 1e-300, NumericError, "integral of f**order underflows double range"),
+            (exponent > 700.0, NumericError, "mean overflows double range"),
+            (exponent < -700.0, NumericError, "mean underflows double range"),
+        )
+        left = np.ones(len(act), dtype=bool)
+        for hit, error, message in checks:
+            hit &= left
+            if hit.any():
+                self.fail(act[hit], error(message))
+                left &= ~hit
 
 
 def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
@@ -781,12 +876,13 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
         geometric = ~zero & (uhi / ulo > 10.0)
     masks = {"zero": zero, "geo": geometric, "lin": ~zero & ~geometric}
     blocks = {kind: np.flatnonzero(m) for kind, m in masks.items() if m.any()}
-    zq = blocks.get("zero", np.zeros(0, dtype=np.intp))
     passes = [
-        _Order(base, order, n, tol, tighten, initial_errors(order), zq)
+        _Order(base, order, n, tol, tighten, initial_errors(order), len(ulo))
         for order in orders
     ]
-    lead = passes[0]
+    lead, others = passes[0], passes[1:]
+    for o in others:
+        o.active &= ~lead.failed
     lengths = hi - lo
     # Orders share one evaluation of log f at their shared nodes when the
     # input knows log f, or one of f when their f**order is the default
@@ -799,8 +895,6 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
         path = "power"
 
     for level in range(_QUAD_MAX_LEVELS):
-        for o in passes[1:]:
-            o.active &= ~lead.failed
         live = [o for o in passes if o.active.any()]
         if not live:
             break
@@ -808,11 +902,6 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
             # A distinct piece is needed while any interval owning it refines.
             o.needed = np.zeros(len(ulo), dtype=bool)
             o.needed[uid[o.active[owner]]] = True
-            o.distinct = np.zeros(len(ulo))
-            keep = o.needed[o.zq]
-            o.zq, o.zcells, o.taken = o.zq[keep], o.zcells[keep], 0
-            cells = _cells("zero", level) + max(o.zcells.shape[1] - 1, 0)
-            o.next = np.empty((len(o.zq), cells))
         for kind, qs in blocks.items():
             # Orders with the same substitution exponent share their nodes.
             by_p: dict[float, list[_Order]] = {}
@@ -822,12 +911,12 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
                 mesh = _mesh(kind, level, p)
                 for group in [[o] for o in same] if path == "power" else [same]:
                     _integrate(base, mesh, qs, ulo, uhi, group, path)
+        failures = len(lead.errors)
         for o in live:
-            if len(o.zq):
-                o.zcells = o.next
-                with np.errstate(over="ignore"):
-                    o.distinct[o.zq] = np.sum(o.zcells, axis=1)
             o.settle(owner, o.distinct[uid], lengths)
+        if len(lead.errors) > failures:
+            for o in others:
+                o.active &= ~lead.failed
 
     for o in passes:
         for i in np.flatnonzero(o.active).tolist():
@@ -851,7 +940,9 @@ def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group, path: str) 
     Every transcendental call gets a contiguous array, so numpy takes the
     same vector path whatever the batch.
     """
-    need = group[0].needed if len(group) == 1 else np.any([o.needed for o in group], axis=0)
+    need = group[0].needed
+    for o in group[1:]:
+        need = need | o.needed
     qs = qs[need[qs]]
     step = max(1, _NODE_BUDGET // (16 * mesh.cells))
     # Deliberately quiet: an overflowing cell makes its row's total
@@ -864,25 +955,30 @@ def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group, path: str) 
         for start in range(0, len(qs), step):
             q = qs[start : start + step]
             hi = uhi[q]
-            # x holds log x on the "log" path.
-            x, weights = _nodes(mesh, ulo[q], hi, log=path == "log")
-            if path == "log":
-                fx = base.log_values(x.ravel()).reshape(x.shape)
-            elif len(group) == 1:
-                [o] = group
-                vals = base.power_values(x.ravel(), o.order).reshape(x.shape)
-                del x
-                o.keep(mesh, q, slice(None), _sums(mesh, hi, weights, vals))
-                continue
+            if path == "log" and mesh.kind == "zero":
+                fx, weights = base.log_values(Nodes(t=hi, mesh=mesh)), None
+            elif path == "log":
+                logx, weights = _nodes(mesh, ulo[q], hi, log=True)
+                fx = base.log_values(Nodes(logx))
+                del logx
             else:
-                fx = base.evaluate(x.ravel()).reshape(x.shape)
-            del x
-            for o in group:
-                rows = o.needed[q]
-                if rows.all():
-                    rows = slice(None)
-                elif not rows.any():
+                x, weights = _nodes(mesh, ulo[q], hi)
+                if len(group) == 1:
+                    [o] = group
+                    vals = base.power_values(x.ravel(), o.order).reshape(x.shape)
+                    del x
+                    o.keep(mesh, q, slice(None), _sums(mesh, hi, weights, vals))
                     continue
+                fx = base.evaluate(x.ravel()).reshape(x.shape)
+                del x
+            for o in group:
+                rows = slice(None)
+                if len(group) > 1:
+                    rows = o.needed[q]
+                    if rows.all():
+                        rows = slice(None)
+                    elif not rows.any():
+                        continue
                 if path == "log":
                     vals = np.multiply(fx[rows], o.order)
                     np.exp(vals, out=vals)

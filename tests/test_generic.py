@@ -207,7 +207,7 @@ def test_table_without_declared_monotonicity_gets_full_search():
         ),
         (
             lambda: estimate_extension(AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0)),
-            (1.402635813437175, -79.36507936507934, 999.9999999999998, 5201, True),
+            (1.4026358134371757, -79.36507936507934, 999.9999999999998, 5201, True),
         ),
     ],
     ids=["pow-extension-1d", "affpow-halfline-1d", "expdecay-halfline-2d", "affpow-extension-2d"],

@@ -66,6 +66,69 @@ def test_log_space_origin_mean_matches_closed_form(gamma, order, T):
     assert math.isclose(got, a * power_mean_closed(gamma, order, T), rel_tol=1e-9)
 
 
+class PlainAffine(FunctionSpec):
+    """An AffinePower through evaluate alone, with its declared behavior at
+    0: f**order is the default power of evaluate, on the same u-mesh."""
+
+    monotonicity = Monotonicity.UNKNOWN
+
+    def __init__(self, f: AffinePower) -> None:
+        self.f = f
+
+    def evaluate(self, x):
+        return self.f.evaluate(x)
+
+    def zero_power_exponent(self, order):
+        return self.f.zero_power_exponent(order)
+
+
+@pytest.mark.parametrize("T", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize(
+    "gamma, order",
+    [(-0.9, 1.0), (0.25, -2.0), (-0.5, -1.0), (1.5, 2.0)],
+    ids=["s=-0.9", "s=-0.5", "s=0.5", "s=3"],
+)
+def test_mesh_power_origin_mean_matches_evaluate(gamma, order, T):
+    # AffinePower with an offset takes f at x = T * u**p as
+    # a * T**gamma * u**(p*gamma) + c, the last power once per mesh.
+    for a, c in ((2.5, 0.5), (0.3, 7.0)):
+        f = AffinePower(a, gamma, c)
+        got = quad_mean(f, Interval(0.0, T), order).value
+        want = quad_mean(PlainAffine(f), Interval(0.0, T), order).value
+        assert math.isclose(got, want, rel_tol=1e-13)
+
+
+def test_mesh_power_falls_back_where_a_factor_leaves_double_range():
+    # At the p = 40 cap and level 11, u**(p*gamma) overflows next to 0 for
+    # gamma = -0.49 and underflows for gamma = 2, and at t = 1e300 so does
+    # t**2.  Those nodes take a * exp(gamma * log x) bit for bit, so a value
+    # in double range stays in it; the others agree with it to rounding.
+    level, p = 11, 40.0
+    mesh = means._mesh("zero", level, p)
+    t = np.array([1e-3, 1.0, 1e3, 1e300])
+    nodes = means.Nodes(t=t, mesh=mesh)
+    for a, gamma in ((1.0, -0.49), (0.5, 2.0)):
+        powers, outside = means._mesh_powers(level, p, gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = nodes.scaled_power(a, gamma)
+            want = a * np.exp(gamma * nodes.log())
+            scale = a * np.power(t, gamma)
+        assert outside is not None
+        assert got[:, outside].tolist() == want[:, outside].tolist()
+        wide = ~np.isfinite(scale)
+        assert wide.tolist() == [False, False, False, gamma > 0.0]
+        assert got[wide].tolist() == want[wide].tolist()
+        normal = (want >= np.finfo(float).tiny) & np.isfinite(want)
+        assert np.allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
+        # A factor alone out of range while the value is not: the fallback
+        # keeps those values finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = scale[:, None] * powers
+        rescued = ~np.isfinite(product) & np.isfinite(want)
+        assert rescued.any()
+        assert (np.isfinite(got) == np.isfinite(want)).all()
+
+
 def test_mean_ratio_of_identity_on_unit_offset_interval():
     r = mean_ratio(PowerLaw(1.0), Interval(1.0, 2.0), ExponentPair(1.0, 2.0))
     assert math.isclose(r, RATIO_ID_1_2, rel_tol=1e-9)
@@ -283,11 +346,27 @@ def test_shared_piece_is_integrated_until_its_last_owner_converges():
     assert nodes == _distinct_piece_nodes(intervals, pair)
 
 
+def _running_total(row: list[float], level: int) -> float:
+    # The cells of a whole mesh, in the order _origin_sums adds them: the
+    # new cells after the first of each level from 0 outward, the 10 of
+    # level 0 first and then the 4 of each later level, each level's onto
+    # the sum of the levels before; the first cell last.
+    kept = 0.0
+    for k in range(level + 1):
+        new = row[-10:] if k == 0 else row[1 + 4 * (level - k) : 5 + 4 * (level - k)]
+        added = new[0]
+        for cell in new[1:]:
+            added += cell
+        kept = kept + added
+    return row[0] + kept
+
+
 @pytest.mark.parametrize("s", [None, -0.5, 0.5], ids=["p=1", "s=-0.5", "s=0.5"])
 def test_origin_anchored_level_from_the_last_equals_whole_mesh(s):
     # A level splits the first u-cell of the one before into five and keeps
-    # the rest, so building it from the previous level's cell sums must give
-    # the cell sums of its whole mesh, and so the same integral bit for bit.
+    # the rest, so the cells it integrates must be the first cells of its
+    # whole mesh bit for bit, and its running sums those of the whole mesh
+    # added in one fixed order.
     his = np.array([1e-3, 0.7, 1.0, 3.0, 250.0])
     sizes: list[int] = []
 
@@ -302,15 +381,16 @@ def test_origin_anchored_level_from_the_last_equals_whole_mesh(s):
         x, weights = means._nodes(mesh, None, his)
         return means._sums(mesh, his, weights, fo(x.ravel()).reshape(x.shape))
 
-    rows = np.zeros((len(his), 0))
+    rest = np.zeros(len(his))
     for level in range(7):
         sizes.clear()
-        rows = means._zero_anchored_rows(cells(means._mesh("zero", level, p)), rows)
+        new = cells(means._mesh("zero", level, p))
+        rest, total = means._origin_sums(rest, new)
         assert sizes == [len(his) * 16 * (11 if level == 0 else 5)]
         whole = cells(means._zero_mesh(means._zero_edges(level), p))
-        assert rows.shape == (len(his), 11 + 4 * level)
-        assert rows.tolist() == whole.tolist()
-        assert np.sum(rows, axis=1).tolist() == np.sum(whole, axis=1).tolist()
+        assert whole.shape == (len(his), 11 + 4 * level)
+        assert new.tolist() == whole[:, : new.shape[1]].tolist()
+        assert total.tolist() == [_running_total(row, level) for row in whole.tolist()]
 
 
 def _exact_table_mean(xs, fs, lo, hi, order):
@@ -465,7 +545,7 @@ def test_batches_across_chunk_boundaries_equal_scalar_calls(monkeypatch):
     per_chunk = means._NODE_BUDGET // (16 * 11)
     pair = ExponentPair(-1.0, 1.0)
     ends = np.geomspace(1e-3, 1e3, per_chunk + 1).tolist()
-    for f in (AffinePower(1.0, -0.3, 0.0), AffinePower(1.0, -0.3, 0.5)):
+    for f in (AffinePower(1.0, -0.3, 0.0), AffinePower(1.0, -0.3, 0.5), AffinePower(2.0, 0.7, 0.3)):
         for size in (1, per_chunk - 1, per_chunk + 1):
             intervals = [Interval(0.0, b) for b in ends[:size]]
             got = mean_ratios(f, intervals, pair)
@@ -515,9 +595,9 @@ def _mixed_batch() -> list[Interval]:
 @pytest.mark.parametrize(
     "f, pair, shared, pinned",
     [
-        (AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0), True, (1.0833886196051998, 1.0644984489928309)),
+        (AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0), True, (1.0833886196051996, 1.0644984489928309)),
         (AffinePower(1.0, -0.5, 0.5), ExponentPair(-2.0, -1.0), True, (1.0565713770532414, 1.0333412375901594)),
-        (AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0), False, (1.143987789355749, 1.0738727002662218)),
+        (AffinePower(1.0, -0.3, 0.0), ExponentPair(-1.0, 1.0), False, (1.1439877893557493, 1.0738727002662218)),
         (PowerLaw(1.5), ExponentPair(1.0, 2.0), False, (1.3069436902921092, 1.24374672763188)),
         (ExpDecay(1.0), ExponentPair(1.0, 2.0), True, (1.0902818868320618, 1.1433145985143636)),
     ],
@@ -667,6 +747,49 @@ def test_subnormal_integral_is_refused():
     # panel sums there are rounding noise and must not become a mean.
     with pytest.raises(NumericError):
         quad_mean(ExpDecay(1.0), Interval(368.0, 1368.0), 2.0)
+
+
+class Regions(FunctionSpec):
+    """0 next to the origin and then 1 + x up to 10, beyond that constants
+    whose means fail each in its own way."""
+
+    monotonicity = Monotonicity.UNKNOWN
+
+    def evaluate(self, x):
+        edges = [0.5, 10.0, 20.0, 30.0, 40.0, 50.0, 1e4]
+        values = [0.0, 1.0 + x, np.inf, 0.0, 1e-305, 1e305, 1e-302]
+        return np.select([x < e for e in edges], values, 1e-305)
+
+
+def test_failing_means_in_a_batch_keep_their_scalar_errors():
+    # At tol = 1e-22 a mean converges only where two levels agree exactly:
+    # on (0, b) for b <= 512, whose cells next to 0 are all 0.  Each other
+    # interval fails on one check of its order-1 mean, and the scalar call
+    # must raise the same error; the converging ratios keep their bits.
+    f, pair, tol = Regions(), ExponentPair(0.5, 1.0), 1e-22
+    failing = {
+        (11.0, 12.0): (NumericError, "integrand overflowed during quadrature"),
+        (21.0, 22.0): (DomainError, "mean undefined: integral of f**order is not positive"),
+        (31.0, 32.0): (NumericError, "integral of f**order underflows double range"),
+        (41.0, 42.0): (NumericError, "mean overflows double range"),
+        (2e4, 2e6): (NumericError, "mean underflows double range"),
+        # A mean of 1e-302 tightens tol/3 to 0.
+        (100.0, 4100.0): (DomainError, "tolerance must lie in (0, 1)"),
+    }
+    ends = [(0.0, 8.0), *failing, (0.0, 4.0), (0.0, 9.5)]
+    batch = [Interval(lo, hi) for lo, hi in ends]
+    ratios, errors = means._ratios(f, *means._bounds(batch), pair, tol)
+    assert sorted(errors) == [i for i, iv in enumerate(ends) if iv in failing]
+    for i, (iv, end) in enumerate(zip(batch, ends)):
+        if end in failing:
+            kind, message = failing[end]
+            with pytest.raises(kind) as scalar:
+                mean_ratio(f, iv, pair, tol)
+            assert str(scalar.value) == message
+            assert (type(errors[i]), str(errors[i])) == (kind, message)
+            assert ratios[i] == -math.inf
+        else:
+            assert ratios[i] == mean_ratio(f, iv, pair, tol) > 1.0
 
 
 def test_mean_order_validation():
