@@ -48,22 +48,17 @@ while any interval owning them still refines that order, and the integral
 is handed to each owner; the straddles (-eps*b, b) of one b all share
 (0, b).  A block is cut into chunks of at most _NODE_BUDGET new nodes per
 integrand call, which bounds memory whatever the batch size.  Orders with
-the same substitution exponent p build each chunk's nodes once, and the
-input decides how f**r is taken there, on one of three paths:
-
-* "log", when the input overrides log_values (AffinePower): the orders
-  share one log f and each takes f**r = exp(r * log f).  log_values gets
-  the chunk's Nodes: on origin-anchored pieces the right ends T and the
-  mesh, elsewhere np.log(x).  From them it takes log x, as log T +
-  p * log u where x itself may underflow, or a * x**g, as
-  (a * T**g) * u**(p*g) with the last factor once per mesh and g, which
-  leaves log f of a * x**g + c one log per node, and a value that a
-  factor of it would take out of range to a * exp(g * log x);
-* "evaluate", when f**r is the default power of f.evaluate (ExpDecay):
-  the orders share one f.evaluate and raise it to each order, while an
-  order alone calls power_values;
-* "power", otherwise (PowerLaw folds its exponents): each order calls
-  power_values on chunks of its own pieces.
+the same substitution exponent p build each chunk's nodes once and share
+one log f, the input's log_values, and each takes f**r = exp(r * log f);
+log_values is where an input decides how f**r is taken.  It gets the
+chunk's Nodes: on origin-anchored pieces the right ends T and the mesh,
+elsewhere x itself.  From them it takes x, log x, as log T + p * log u
+where x itself may underflow, or a * x**g, as (a * T**g) * u**(p*g) with
+the last factor once per mesh and g.  So log f is gamma * log x for
+PowerLaw and -rate * x for ExpDecay; for AffinePower, log(a * x**g + c)
+costs one log per node, and a value that a factor of a * x**g would take
+out of range is a * exp(g * log x).  Any other input gets the log of its
+evaluate at x.
 
 Each piece is summed on its own (an origin-anchored piece reduces each
 new cell's 16 weighted values with one einsum and adds the cell sums to
@@ -158,25 +153,28 @@ class FunctionSpec:
         raise NotImplementedError
 
     def power_values(self, x: np.ndarray, order: float) -> np.ndarray:
-        """Pointwise f(x)**order.
+        """Pointwise f(x)**order, a helper for callers: not the integrand.
 
-        The default composes evaluate with a power, which can underflow
-        halfway even when the composite is representable; subclasses that
-        know the composite in closed form override this with the stable
-        one-step version.
+        The quadrature takes f**order as exp(order * log f) from
+        log_values, so a subclass shapes the integrand through evaluate or
+        log_values, not here.  The default composes evaluate with a power,
+        which can underflow halfway even when the composite is
+        representable; subclasses that know the composite in closed form
+        override this with the stable one-step version.
         """
         return np.power(self.evaluate(x), order)
 
     def log_values(self, nodes: Nodes) -> np.ndarray:
         """log f at quadrature nodes, one row per piece as nodes holds them.
 
-        The default composes evaluate with exp and log.  Subclasses that
-        know log f in closed form override this: the quadrature then takes
-        every order's f**order as exp(order * log f), from nodes.log() or
-        nodes.scaled_power(), which stay in range on the shared mesh of
-        origin-anchored pieces, where x itself may underflow.
+        This is the integrand: the quadrature takes every order's
+        f**order as exp(order * log f).  The default is the log of
+        evaluate at nodes.x().  Subclasses that know log f in closed form
+        override this, from nodes.x(), nodes.log() or nodes.scaled_power();
+        the last two stay in range on the shared mesh of origin-anchored
+        pieces, where x itself may underflow.
         """
-        x = np.exp(nodes.log())
+        x = nodes.x()
         return np.log(self.evaluate(x.ravel())).reshape(x.shape)
 
     @property
@@ -219,6 +217,9 @@ class PowerLaw(FunctionSpec):
         # x**gamma can leave double range at abscissae where x**(gamma*order)
         # is perfectly representable, so fold the exponents first.
         return np.power(x, self.gamma * order)
+
+    def log_values(self, nodes: Nodes) -> np.ndarray:
+        return self.gamma * nodes.log()
 
     def zero_power_exponent(self, order: float) -> float | None:
         s = self.gamma * order
@@ -290,6 +291,9 @@ class ExpDecay(FunctionSpec):
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return np.exp(-self.rate * x)
+
+    def log_values(self, nodes: Nodes) -> np.ndarray:
+        return -self.rate * nodes.x()
 
     def describe(self) -> str:
         return f"expdecay:lambda={self.rate:g}"
@@ -480,9 +484,11 @@ _QUAD_MAX_LEVELS = 12
 def _substitution_exponent(s: float | None) -> float:
     # p turns x**s near 0 into u**(p*(s+1)-1); aim for at least quadratic
     # vanishing, cap p so transformed abscissae stay inside double range.
+    # An order with s <= -1 is not summable at 0 and never integrates an
+    # origin-anchored piece, so its p is never used.
     if s is None or s >= 2.0:
         return 1.0
-    if s >= 0.0:
+    if s >= 0.0 or s <= -1.0:
         return 2.0
     return min(max(3.0 / (s + 1.0), 2.0), 40.0)
 
@@ -579,17 +585,24 @@ class Nodes(NamedTuple):
 
     The rows of origin-anchored pieces are x = t * u**p, with t the
     piece's right end and u**p one row of the mesh they share; any other
-    rows hold log x itself.
+    rows hold x itself.
     """
 
-    logx: np.ndarray | None = None
+    abscissae: np.ndarray | None = None
     t: np.ndarray | None = None
     mesh: _Mesh | None = None
 
-    def log(self) -> np.ndarray:
-        """log x, as log t + p * log u on a shared mesh; not to be written to."""
+    def x(self) -> np.ndarray:
+        """x, as t * u**p on a shared mesh, where it may underflow; not to
+        be written to."""
         if self.mesh is None:
-            return self.logx
+            return self.abscissae
+        return _outer(self.t, self.mesh.up)
+
+    def log(self) -> np.ndarray:
+        """log x as a new array, as log t + p * log u on a shared mesh."""
+        if self.mesh is None:
+            return np.log(self.abscissae)
         return np.log(self.t)[:, None] + self.mesh.logup
 
     def scaled_power(self, a: float, g: float) -> np.ndarray:
@@ -600,7 +613,7 @@ class Nodes(NamedTuple):
         in range stays in range.
         """
         if self.mesh is None:
-            return _exp_power(a, g, self.logx)
+            return _exp_power(a, g, self.log())
         logup = self.mesh.logup
         powers, outside = _mesh_powers(self.mesh.level, self.mesh.p, g)
         scale = a * np.power(self.t, g)
@@ -613,16 +626,13 @@ class Nodes(NamedTuple):
         return f
 
 
-def _nodes(mesh: _Mesh, lo, hi: np.ndarray, log: bool = False):
-    """Gauss nodes of the pieces (lo[i], hi[i]) on a mesh, or for pieces
-    that are not origin-anchored their logs, one row of cells * 16 per
-    piece, and the rows' Gauss weights, None for origin-anchored pieces,
-    whose weights are the mesh's.
+def _nodes(mesh: _Mesh, lo, hi: np.ndarray):
+    """Gauss nodes of the pieces (lo[i], hi[i]) on a linear or geometric
+    mesh, as Nodes with one row of cells * 16 per piece, and the rows'
+    Gauss weights.  (Origin-anchored pieces take theirs from their mesh.)
 
-    Nodes stay strictly interior.  An origin-anchored piece ignores lo.
+    Nodes stay strictly interior.
     """
-    if mesh.kind == "zero":
-        return _outer(hi, mesh.up), None
     space = np.geomspace if mesh.kind == "geo" else np.linspace
     edges = space(lo, hi, mesh.cells + 1, axis=1)
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
@@ -630,12 +640,13 @@ def _nodes(mesh: _Mesh, lo, hi: np.ndarray, log: bool = False):
     rows = len(edges)
     x = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(rows, -1)
     weights = (half[:, :, None] * _GL_WEIGHTS).reshape(rows, -1)
-    return (np.log(x) if log else x), weights
+    return Nodes(x), weights
 
 
 def _sums(mesh: _Mesh, hi: np.ndarray, weights, vals: np.ndarray) -> np.ndarray:
-    """Integrals of pieces from rows of their node values and what _nodes
-    returns: per cell for an origin-anchored piece, shape (rows, cells), so
+    """Integrals of pieces from rows of their node values and their Gauss
+    weights, None on an origin-anchored mesh, whose weights are the
+    mesh's: per cell for an origin-anchored piece, shape (rows, cells), so
     that a cell's integral depends only on its edges, the right end and p;
     over the whole row for any other piece.
 
@@ -777,7 +788,7 @@ class _Order:
             tols[t] *= value[tightened]
             lost = t[~(tols[t] > 0.0)]
             if len(lost):
-                self.fail(lost, DomainError("tolerance must lie in (0, 1)"))
+                self.fail(lost, NumericError("tolerance scaled by the mean underflows double range"))
             done = (diff <= tols[act] * scale) & self.active[act]
         ended = act[done]
         self.values[ended], self.diffs[ended] = value[done], diff[done]
@@ -884,15 +895,6 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
     for o in others:
         o.active &= ~lead.failed
     lengths = hi - lo
-    # Orders share one evaluation of log f at their shared nodes when the
-    # input knows log f, or one of f when their f**order is the default
-    # power of evaluate; otherwise each order calls power_values.
-    if type(base).log_values is not FunctionSpec.log_values:
-        path = "log"
-    elif type(base).power_values is FunctionSpec.power_values:
-        path = "evaluate"
-    else:
-        path = "power"
 
     for level in range(_QUAD_MAX_LEVELS):
         live = [o for o in passes if o.active.any()]
@@ -907,10 +909,8 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
             by_p: dict[float, list[_Order]] = {}
             for o in live:
                 by_p.setdefault(o.p if kind == "zero" else 1.0, []).append(o)
-            for p, same in by_p.items():
-                mesh = _mesh(kind, level, p)
-                for group in [[o] for o in same] if path == "power" else [same]:
-                    _integrate(base, mesh, qs, ulo, uhi, group, path)
+            for p, group in by_p.items():
+                _integrate(base, _mesh(kind, level, p), qs, ulo, uhi, group)
         failures = len(lead.errors)
         for o in live:
             o.settle(owner, o.distinct[uid], lengths)
@@ -927,18 +927,15 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
     return [(o.values, o.diffs, o.errors) for o in passes]
 
 
-def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group, path: str) -> None:
+def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group) -> None:
     """One level of the pieces qs on a mesh for a group of orders.
 
     A piece is integrated for an order only while that order needs it.
     The pieces any order of the group needs are cut into chunks of at
-    most _NODE_BUDGET nodes.  A chunk builds its nodes once.  On the "log"
-    path the group shares one f.log_values and each order takes exp of its
-    multiple of it; on the "evaluate" path several orders share one
-    f.evaluate and each raises its rows to its own power, while an order
-    alone calls f.power_values, as every order does on the "power" path.
-    Every transcendental call gets a contiguous array, so numpy takes the
-    same vector path whatever the batch.
+    most _NODE_BUDGET nodes.  A chunk builds its nodes and takes
+    f.log_values once, and each order takes exp of its multiple of log f
+    on the rows it needs.  Every transcendental call gets a contiguous
+    array, so numpy takes the same vector path whatever the batch.
     """
     need = group[0].needed
     for o in group[1:]:
@@ -947,30 +944,20 @@ def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group, path: str) 
     step = max(1, _NODE_BUDGET // (16 * mesh.cells))
     # Deliberately quiet: an overflowing cell makes its row's total
     # non-finite, which fails its interval with a clearer message than the
-    # warning.  divide fires when a deep exp tail underflows to 0 under a
-    # negative order, and invalid when a node x = T * u**p, or its weight,
-    # underflows to 0 where f**order is infinite (0 * inf); both are
-    # handled the same way.
+    # warning.  divide fires when a log meets 0, an f of 0 or a node
+    # x = T * u**p that underflows, and invalid when a weight underflows
+    # to 0 where f**order is infinite (0 * inf); both are handled the same
+    # way.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, len(qs), step):
             q = qs[start : start + step]
             hi = uhi[q]
-            if path == "log" and mesh.kind == "zero":
-                fx, weights = base.log_values(Nodes(t=hi, mesh=mesh)), None
-            elif path == "log":
-                logx, weights = _nodes(mesh, ulo[q], hi, log=True)
-                fx = base.log_values(Nodes(logx))
-                del logx
+            if mesh.kind == "zero":
+                nodes, weights = Nodes(t=hi, mesh=mesh), None
             else:
-                x, weights = _nodes(mesh, ulo[q], hi)
-                if len(group) == 1:
-                    [o] = group
-                    vals = base.power_values(x.ravel(), o.order).reshape(x.shape)
-                    del x
-                    o.keep(mesh, q, slice(None), _sums(mesh, hi, weights, vals))
-                    continue
-                fx = base.evaluate(x.ravel()).reshape(x.shape)
-                del x
+                nodes, weights = _nodes(mesh, ulo[q], hi)
+            logf = base.log_values(nodes)
+            del nodes
             for o in group:
                 rows = slice(None)
                 if len(group) > 1:
@@ -979,11 +966,8 @@ def _integrate(base: FunctionSpec, mesh: _Mesh, qs, ulo, uhi, group, path: str) 
                         rows = slice(None)
                     elif not rows.any():
                         continue
-                if path == "log":
-                    vals = np.multiply(fx[rows], o.order)
-                    np.exp(vals, out=vals)
-                else:
-                    vals = np.power(fx[rows], o.order)
+                vals = np.multiply(logf[rows], o.order)
+                np.exp(vals, out=vals)
                 row_weights = None if weights is None else weights[rows]
                 o.keep(mesh, q, rows, _sums(mesh, hi[rows], row_weights, vals))
 
