@@ -339,10 +339,12 @@ def test_estimate_all_zero_table_is_numeric_error(capsys, tmp_path):
     assert "no window of the table has finite means" in err
 
 
-def test_table_beyond_double_range_is_numeric_error(tmp_path):
-    # At alpha = -1 the table's scale is 1e-310, so every scaled stretch
-    # term overflows and no knot pair has finite means.  A fresh process,
-    # so that numpy's overflow warnings would reach stderr.
+def test_table_beyond_double_range_is_ranked(tmp_path):
+    # Each stretch's values span beyond double range, and at alpha = -1
+    # the table's scale is 1e-310, yet every stretch integral is taken as a
+    # log and the means are finite: the window (1, 2) has the ratio
+    # 810.93285519600037.  A fresh process, so that numpy's overflow
+    # warnings would reach stderr.
     path = write_table(tmp_path / "wide.csv", [(1, "1e-310"), (2, "1e300"), (3, "1e-300")])
     proc = subprocess.run(
         [sys.executable, "-m", "rhiconst.cli", "estimate", "--alpha", "-1", "--beta", "2",
@@ -350,8 +352,9 @@ def test_table_beyond_double_range_is_numeric_error(tmp_path):
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr.startswith("numeric error:")
+    assert proc.returncode == 0, proc.stderr
+    value = json.loads(proc.stdout)["results"]["halfline_value"]
+    assert math.isclose(value, 810.93285519600037, rel_tol=1e-12), value
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 

@@ -261,12 +261,12 @@ def _wavy_table(seed: int, n: int) -> SampledTable:
         (
             BUMPY_TABLE,
             ExponentPair(-1.0, 1.0),
-            (1.178919137212659, 3.5, 8.0, 2749, True),
+            (1.1789191372126584, 3.5, 8.0, 2749, True),
         ),
         (
             _wavy_table(1, 60),
             ExponentPair(1.0, 2.0),
-            (1.1419674193381684, 4.434372621832104, 10.315462922955097, 7116, True),
+            (1.1419674193381681, 4.434372621832104, 10.315462922955097, 7116, True),
         ),
         (
             _wavy_table(2, 180),
@@ -276,7 +276,7 @@ def _wavy_table(seed: int, n: int) -> SampledTable:
         (
             _wavy_table(3, 360),
             ExponentPair(-1.0, 1.0),
-            (1.3173049165629636, 3.4112588966115176, 9.347920145246809, 70047, True),
+            (1.317304916562964, 3.4112588966115176, 9.347920145246809, 70047, True),
         ),
     ],
     ids=["bumpy", "wavy-60-pos", "wavy-180-neg", "wavy-360-mixed"],
@@ -535,9 +535,9 @@ def test_polish_next_to_a_better_pair_counts():
 
 @pytest.mark.parametrize("block", [1, 7, 100, tables._SCAN_BLOCK])
 def test_scan_blocks_do_not_change_the_ranking(monkeypatch, block):
-    # The second table spans beyond double range, so most of its windows
-    # are summed again at their own scale, in blocks of stretches.  So are
-    # most of the windows with ends inside stretches that mean_ratios scores.
+    # The second table spans beyond double range, so most of its rows of
+    # knot pairs are summed in logs.  So are most of the windows with ends
+    # inside stretches that mean_ratios scores.
     rng = np.random.default_rng(1)
     wide = SampledTable(np.linspace(0.5, 20.0, 40), 10.0 ** rng.uniform(-320, 300, 40))
     cases = [(_wavy_table(1, 60), ExponentPair(1.0, 2.0)), (wide, ExponentPair(-2.0, -0.5))]
@@ -563,14 +563,21 @@ def _wide_tables(count):
 
 @pytest.mark.filterwarnings("error")
 def test_scan_ranks_windows_beyond_double_range():
-    # Windows whose terms underflow at the table's scale are summed again
-    # at their own scale, so no estimate falls below a knot-to-knot window.
+    # Rows whose sums underflow at the table's scale are summed in logs,
+    # so every knot-to-knot window has a finite score and no estimate
+    # falls below one.
     pair = ExponentPair(-2.0, -0.5)
     for table in _wide_tables(20):
         xs = table.xs
         i, j = np.triu_indices(len(xs), 1)
-        best = mean_ratios(table, [Interval(a, b) for a, b in zip(xs[i], xs[j])], pair).max()
-        assert estimate_halfline(table, pair).value >= best * (1.0 - 1e-13)
+        scores = mean_ratios(table, [Interval(a, b) for a, b in zip(xs[i], xs[j])], pair)
+        assert np.isfinite(scores).all()
+        assert estimate_halfline(table, pair).value >= scores.max() * (1.0 - 1e-13)
+    # The 40-knot table of the CI: its knot pair (35, 36) has the ratio
+    # 3.0650441028226443e271 (60-digit reference).
+    rng = np.random.default_rng(1)
+    k40 = SampledTable(np.linspace(0.5, 20.0, 40), 10.0 ** rng.uniform(-320, 300, 40))
+    assert estimate_halfline(k40, pair).value >= 3.0650441028226443e271 * (1.0 - 1e-12)
 
 
 @pytest.mark.filterwarnings("error")

@@ -18,6 +18,7 @@ from rhiconst.core import (
     QuadratureError,
 )
 from rhiconst import means, tables
+from rhiconst.generic import estimate_halfline
 from rhiconst.means import (
     AffinePower,
     EvenExtensionView,
@@ -445,11 +446,6 @@ def test_table_windows_split_at_knots_and_integrate_exactly():
     assert owner.tolist() == [0, 1, 2, 3]
     assert np.array_equal(plo, lo) and np.array_equal(phi, hi)
     for order in (1.0, 2.0):
-        # The shared cumulative sums and the per-window split at the knots
-        # (the fallback for tiny sums) give the same integrals.
-        scales, sums = tables._window_sums(tbl, tables._windows(tbl, lo, hi), order)
-        again, again_sums = tables._scaled_window_sums(tbl, lo, hi, order)
-        assert np.allclose(scales**order * sums, again**order * again_sums, rtol=1e-14, atol=0.0)
         for a, b in windows:
             got = quad_mean(tbl, Interval(a, b), order)
             exact = _exact_table_mean(xs, tbl.fs, a, b, order)
@@ -495,7 +491,11 @@ def _table_windows(draw):
     xs = draw(st.floats(0.1, 5.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
     order = draw(st.floats(-50.0, 50.0).filter(lambda r: abs(r) >= 1e-3))
     # Repeated values give flat stretches; zeros are admissible for order > 0.
-    values = st.one_of(st.just(1.0), st.floats(1e-8, 1e4))
+    # Values 10**U(-300, 300) put a table's stretches far outside double
+    # range at every order.
+    values = st.one_of(
+        st.just(1.0), st.floats(1e-8, 1e4), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+    )
     if order > 0.0:
         values = st.one_of(st.just(0.0), values)
     fs = np.array(draw(st.lists(values, min_size=n, max_size=n)))
@@ -513,21 +513,72 @@ def _table_windows(draw):
 
 @given(_table_windows())
 def test_table_means_match_exact_reference(case):
+    # A mean inside double range matches the reference; one well outside
+    # it (a table mean fails beyond exp(+-700)) is a numeric error.
     xs, fs, lo, hi, order = case
     tbl = SampledTable(xs, fs)
     want = _reference_table_mean(xs, fs, lo, hi, order)
     if want is None:
         with pytest.raises(DomainError, match="not positive"):
             quad_mean(tbl, Interval(lo, hi), order)
-        return
-    got = quad_mean(tbl, Interval(lo, hi), order).value
-    assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+    elif 1e-300 <= want <= 1e300:
+        got = quad_mean(tbl, Interval(lo, hi), order).value
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+    elif not 1e-306 <= want <= 1e306:
+        with pytest.raises(NumericError, match="double range"):
+            quad_mean(tbl, Interval(lo, hi), order)
+
+
+@pytest.mark.parametrize(
+    "fs, window, order, want, rel_tol",
+    [
+        # The values 1e-100 are 1e-400 times the table's largest: divided by
+        # it they would underflow to 0, and the mean come out 9.8% low.
+        ([1e300, 1e-100, 1e-100], (1.9, 3.0), 0.01, 2.9747905091354436e194, 1e-12),
+        # The integral of f**-2 over a linear stretch is h / (u * v), so
+        # this mean is 1, although v / u leaves double range.
+        ([1e-200, 1e200], (1.0, 2.0), -2.0, 1.0, 1e-13),
+    ],
+    ids=["below-the-scale", "beyond-double-range"],
+)
+def test_wide_table_means_are_exact(fs, window, order, want, rel_tol):
+    xs = np.arange(1.0, len(fs) + 1.0)
+    got = quad_mean(SampledTable(xs, np.array(fs)), Interval(*window), order).value
+    assert math.isclose(got, want, rel_tol=rel_tol), got
+    assert math.isclose(_reference_table_mean(xs, np.array(fs), *window, order), want, rel_tol=1e-15)
+
+
+def test_wide_table_log_sums_are_quadratic_in_the_knots(monkeypatch):
+    # 377 stretches with values 10**U(-320, 300): most sums underflow at
+    # the table's scale and are summed in logs, a row at a time, so the
+    # whole search accumulates at most m * (m + 1) log terms per order.
+    # The witness matches its 60-digit reference.
+    rng = np.random.default_rng(1)
+    tbl = SampledTable(np.linspace(0.5, 20.0, 378), 10.0 ** rng.uniform(-320, 300, 378))
+    pair = ExponentPair(-2.0, -0.5)
+    accumulated = []
+    log_accumulate = tables._log_accumulate
+
+    def counting(terms):
+        accumulated.append(terms.size)
+        return log_accumulate(terms)
+
+    monkeypatch.setattr(tables, "_log_accumulate", counting)
+    est = estimate_halfline(tbl, pair)
+    m = len(tbl.xs) - 1
+    assert 0 < sum(accumulated) <= 2 * m * (m + 1)
+    lo, hi = est.witness.lo, est.witness.hi
+    want = _reference_table_mean(tbl.xs, tbl.fs, lo, hi, pair.beta) / _reference_table_mean(
+        tbl.xs, tbl.fs, lo, hi, pair.alpha
+    )
+    assert math.isclose(est.value, want, rel_tol=1e-12)
+    assert est.value >= 3.560411666331676e303 * (1.0 - 1e-12)
 
 
 def test_table_means_far_below_the_table_scale_keep_precision():
     # At order 50 the small values are 1e-450 below the table's largest:
-    # scaled by the table they underflow, so these windows are summed at
-    # their own scale.
+    # their terms underflow at the table's scale, so these windows are
+    # summed in logs.
     xs = np.linspace(1.0, 10.0, 10)
     fs = np.array([1.0, 3e-9, 1e-9, 2e-9, 5e-9, 1e-9, 4e-9, 1.0, 2e-9, 1.0])
     tbl = SampledTable(xs, fs)
@@ -545,7 +596,10 @@ def test_table_window_integral_is_no_prefix_difference():
     fs = np.geomspace(1.0, 1e-4, 200)
     tbl = SampledTable(xs, fs)
     i, j = 195, 199
-    scale, terms = tables._knot_integrals(tbl, 4.0)
+    # The table's scale is its largest value, 1, so the knot terms are the
+    # logs of the integrals themselves; the last term pads rows.
+    _, terms = tables._knot_terms(tbl, 4.0)
+    terms = np.exp(terms[:-1])
     prefix = np.concatenate(([0.0], np.cumsum(terms)))
     exact = math.fsum(terms[i:j].tolist())
     assert abs((prefix[j] - prefix[i]) - exact) > 0.5 * exact
