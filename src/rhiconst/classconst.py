@@ -183,9 +183,9 @@ def gamma_sweep(pair: ExponentPair, gammas: Iterable[float]) -> list[PowerRhiRep
     """Full power report for each exponent, in the given order.
 
     The rows equal power_report(pair, g) one by one, which is a batch
-    of one; here the golden sections of all exponents run in lockstep, one
-    elementwise curve call per step.  The first exponent in order that
-    would raise decides the exception.
+    of one; here the Newton iterations that place the maximizers of all
+    exponents run in lockstep.  The first exponent in order that would
+    raise decides the exception.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .classconst import class_constants, gamma_sweep, sharpness_table
 from .core import (
+    SUITE_NAMES,
     DataError,
     DomainError,
     ExponentPair,
@@ -40,7 +41,6 @@ from .means import (
     table_from_csv,
 )
 from .power import EPS_GRID, power_report
-from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
 
@@ -55,8 +55,8 @@ _SWEEP_GAMMA_COLUMNS = (
 )
 _SWEEP_BETA_COLUMNS = ("beta", "class_constant", "upper_bound", "ratio")
 
-# Most rows one sweep may ask for: a gamma row takes 1 to 3 ms, so the cap
-# keeps a sweep within about 30 s and its sequence arrays small.
+# Most rows one sweep may ask for: it keeps a sweep within seconds (10 000
+# gamma rows take about 1 s on 2 vCPUs) and its sequence arrays small.
 _SEQUENCE_MAX = 10_000
 
 
@@ -344,6 +344,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here: no other command needs the suites.
+    from .verify import run_suite
+
     results = run_suite(args.suite, args.seed)
     width = max(len(r.name) for r in results)
     for r in results:

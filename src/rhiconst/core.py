@@ -37,6 +37,7 @@ __all__ = [
     "NumericError",
     "QuadratureError",
     "RhiError",
+    "SUITE_NAMES",
     "classify_case",
     "gamma_domain",
 ]
@@ -44,6 +45,10 @@ __all__ = [
 # Relative slack kept between an accepted gamma and the admissible-range
 # boundary; see require_gamma.
 BOUNDARY_MARGIN = 1e-9
+
+# The self-check suites of verify.py, kept here so that the command line
+# can offer them without importing verify.
+SUITE_NAMES = ("means", "power", "class", "generic")
 
 
 # ---------------------------------------------------------------------------

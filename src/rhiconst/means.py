@@ -471,7 +471,22 @@ class MeanValue:
             raise NumericError("error estimate must be nonnegative and finite")
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-point Gauss-Legendre rule on [-1, 1], with the bits of
+# numpy.polynomial.legendre.leggauss(16): the rule is symmetric, so the
+# positive nodes and their weights are listed.  Importing numpy.polynomial
+# and running its eigenvalue solver would cost about 1.4 MB of RSS.
+_GL_NODES = np.array((
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499,
+))
+_GL_NODES = np.concatenate((-_GL_NODES[::-1], _GL_NODES))
+_GL_WEIGHTS = np.array((
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176,
+))
+_GL_WEIGHTS = np.concatenate((_GL_WEIGHTS[::-1], _GL_WEIGHTS))
 
 # Most quadrature nodes handed to one integrand call.  Pieces are never
 # split, so a piece with more nodes than this is integrated alone.

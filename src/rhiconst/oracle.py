@@ -49,7 +49,19 @@ __all__ = [
     "window_ratio",
 ]
 
-_GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# The 10-point Gauss-Legendre rule on [-1, 1], with the bits of
+# numpy.polynomial.legendre.leggauss(10), positive half listed: the
+# oracle keeps its own rule rather than importing that of means.py.
+_GL10_NODES = np.array((
+    0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717,
+))
+_GL10_NODES = np.concatenate((-_GL10_NODES[::-1], _GL10_NODES))
+_GL10_WEIGHTS = np.array((
+    0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814,
+))
+_GL10_WEIGHTS = np.concatenate((_GL10_WEIGHTS[::-1], _GL10_WEIGHTS))
 
 # Own copy of generic's fixed scale window (_SCALE_MIN, _SCALE_MAX): the
 # oracle stays independent but takes suprema over the same endpoints.

@@ -18,19 +18,19 @@ critical points are the roots of a three-term residual polynomial in
 fractional powers of eps (stationarity_residual below).  The supremum over
 all real intervals is therefore max(c) * H.
 
-The maximizer is found by a dense grid scan, golden-section refinement and
-a guarded Newton polish on the residual.  No unimodality result is known
-for the curve, hence the global scan before any local step; the grid is
-augmented with logarithmically spaced points near 0 because the maximizer
-collapses toward 0 as gamma approaches the lower admissible endpoint.
-All curve evaluations run in log space, so exponents close to the
-admissible boundary stay finite and the endpoint values are exact.
+The maximizer is found by a dense grid scan and a safeguarded Newton
+iteration on the residual, bracketed by the grid points next to the grid
+maximum.  No unimodality result is known for the curve, hence the global
+scan before any local step; the grid is augmented with logarithmically
+spaced points near 0 because the maximizer collapses toward 0 as gamma
+approaches the lower admissible endpoint.  All curve evaluations run in
+log space, so exponents close to the admissible boundary stay finite and
+the endpoint values are exact.
 
 Maximization is batched over exponents.  A gamma sweep scans the seed grid
-once per exponent, then runs the golden sections of all its exponents in
-lockstep, one elementwise curve call per step over the rows still
-refining; the polish stays per row.  maximize_curve and power_report are
-batches of one, with the same bits as any row of a sweep.
+once per exponent, then runs the Newton iterations of all its exponents
+in lockstep, a few elementwise array calls per step.  maximize_curve and
+power_report are batches of one, with the same bits as any row of a sweep.
 """
 
 from __future__ import annotations
@@ -160,106 +160,79 @@ def stationarity_residual(pair: ExponentPair, gamma: float, eps: float) -> float
     return t1 + t2 + t3
 
 
-def _residual_derivative(pair: ExponentPair, gamma: float, eps: float) -> float:
-    a, b = pair.alpha, pair.beta
-    ga, gb = gamma * a, gamma * b
-    d = (a - b) * (ga + gb + 1.0) * math.pow(eps, ga + gb)
-    d += b * (ga + 1.0) * (
-        (gb + 1.0) * math.pow(eps, gb) - ga * math.pow(eps, ga - 1.0)
-    )
-    d += a * (gb + 1.0) * (
-        gb * math.pow(eps, gb - 1.0) - (ga + 1.0) * math.pow(eps, ga)
-    )
-    return d
-
-
 # ---------------------------------------------------------------------------
 # Maximization
 # ---------------------------------------------------------------------------
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Outcomes of a row's root search (_stationary_points).
+_ROOT, _AT_ONE, _BELOW_GRID = 0, 1, 2
+# A cap the iteration does not reach: bisection alone closes a bracket of
+# the seed grid in at most about 60 steps, 5 geometric ones from the log
+# tail's factor of 10**7 and then one per bit.
+_NEWTON_STEPS = 100
 
 
-def _golden_sections(
-    orders: np.ndarray, k: np.ndarray, a: np.ndarray, b: np.ndarray
+def _stationary_points(
+    pair: ExponentPair, gammas: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maxima of the curve on the brackets (a, b), in lockstep.
+    """Roots of the stationarity residual R on the brackets (lo, hi), in lockstep.
 
-    Row j uses the column k[:, j] (see _interior_curve), stops once its
-    bracket is no wider than max(1e-15, (b - a)*1e-11) or after 200 steps,
-    and then freezes.  Each step is one elementwise curve call over the
-    rows still refining.  Returns the better end point of every final
-    bracket and its curve value.
+    A safeguarded Newton iteration (Numerical Recipes' rtsafe) runs
+    elementwise over the rows.  Row j starts at x[j] and after each residual
+    keeps the half of its bracket that holds the root: left of the root R
+    has the sign of alpha*beta, which is read off the pair because R(1) = 0
+    for every input.  The Newton step is taken when it lands strictly inside
+    the bracket; otherwise the row bisects, geometrically while the bracket
+    spans more than a factor of 2 (the seed grid's log tail jumps by 10**7
+    per point).  A row stops once |R| <= 1e-14 * max|terms|, after the
+    Newton step computed there if that lands inside; once a Newton step
+    moves it by at most 1e-16 * x; or once no double lies strictly inside
+    its bracket.  Then it freezes, so it keeps the bits of a batch of one.
+    Iterates stay strictly inside the bracket, never on 0 or 1.
+
+    Returns the last point of every row and its outcome: _ROOT; _AT_ONE
+    when the bracket closed on 1 without R changing sign, so the maximizer
+    lies closer to 1 than doubles resolve; or _BELOW_GRID when the root lies
+    below the first seed point, 1e-300.
     """
-
-    def curve(x: np.ndarray) -> np.ndarray:
-        return _interior_curve(orders, k, np.log(x), np.log1p(x))
-
-    width = b - a
-    tol = np.maximum(1e-15, width * 1e-11)
-    c = b - _INVPHI * width
-    d = a + _INVPHI * width
-    fc, fd = curve(c), curve(d)
-    x_best, v_best = np.empty_like(a), np.empty_like(a)
-    rows = np.arange(a.size)
-    for steps in range(201):
-        done = width <= tol if steps < 200 else np.full(rows.size, True)
-        if done.any():
-            upper = fc >= fd
-            x_best[rows[done]] = np.where(upper, c, d)[done]
-            v_best[rows[done]] = np.where(upper, fc, fd)[done]
-            keep = ~done
-            a, b, c, d, fc, fd, width, tol, rows = (
-                v[keep] for v in (a, b, c, d, fc, fd, width, tol, rows)
-            )
-            k = k[:, keep]
-            if not rows.size:
+    a, b = pair.alpha, pair.beta
+    ga, gb = gammas * a, gammas * b
+    # The terms of stationarity_terms are coef * (x**expo[:3] - x**expo[3:]),
+    # and x * dR/dx is the sum of slope * x**expo.
+    expo = np.stack((ga + gb + 1.0, gb + 1.0, gb, np.zeros_like(ga), ga, ga + 1.0))
+    coef = np.stack((np.full_like(ga, a - b), b * (ga + 1.0), a * (gb + 1.0)))
+    slope = np.concatenate((coef, -coef)) * expo
+    rising = math.copysign(1.0, a * b)
+    done = np.zeros(x.size, dtype=bool)
+    resolved = np.zeros(x.size, dtype=bool)
+    # A Newton step that is not finite (a zero derivative, or an infinite
+    # slope times a power that underflows) fails the bracket test, and the
+    # row bisects instead.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            p = np.power(x, expo)
+            t = coef * (p[:3] - p[3:])
+            r = t.sum(axis=0)
+            right = rising * r > 0.0
+            lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+            newton = x - x * (r / (slope * p).sum(axis=0))
+            take = (lo < newton) & (newton < hi)
+            mid = np.where(hi > 2.0 * lo, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
+            step = np.where(take, newton, mid)
+            converged = np.abs(r) <= 1e-14 * np.abs(t).max(axis=0)
+            small = take & (np.abs(newton - x) <= 1e-16 * x)
+            # lo is 0 only when the first residual puts the root below x.
+            stuck = (lo == 0.0) | ~((lo < step) & (step < hi))
+            # A converged row still takes the Newton step it has computed.
+            x = np.where(done | stuck | (converged & ~take), x, step)
+            resolved |= ~done & (converged | small)
+            done |= converged | small | stuck
+            if done.all():
                 break
-        # Rows with fc >= fd keep (a, d) and probe below their old c;
-        # the others keep (c, b) and probe above their old d.
-        upper = fc >= fd
-        a = np.where(upper, a, c)
-        b = np.where(upper, d, b)
-        width = b - a
-        step = _INVPHI * width
-        x = np.where(upper, b - step, a + step)
-        fx = curve(x)
-        c, d = np.where(upper, x, d), np.where(upper, c, x)
-        fc, fd = np.where(upper, fx, fd), np.where(upper, fc, fx)
-    return x_best, v_best
-
-
-def _newton_polish(pair: ExponentPair, gamma: float, x0: float, lo: float, hi: float) -> float:
-    """Drive the stationarity residual to machine level near x0.
-
-    Steps leaving (lo, hi) or failing to stay finite abandon the polish and
-    the caller keeps the golden-section result, so this can only improve
-    the maximizer.  A derivative that overflows means x is below about
-    1e-154, where neither the grid nor the polish resolves the maximizer;
-    that raises NumericError.
-    """
-    x = x0
-    for _ in range(60):
-        t1, t2, t3 = stationarity_terms(pair, gamma, x)
-        r = t1 + t2 + t3
-        scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
-        if abs(r) <= 1e-14 * scale:
-            return x
-        try:
-            rp = _residual_derivative(pair, gamma, x)
-        except OverflowError as exc:
-            raise NumericError(
-                f"shape-curve maximizer near eps={x:.3g} is too close to 0 to resolve"
-            ) from exc
-        if rp == 0.0 or not math.isfinite(rp):
-            return x
-        xn = x - r / rp
-        if not (lo < xn < hi) or not math.isfinite(xn):
-            return x
-        if abs(xn - x) <= 1e-17 * max(1.0, abs(x)):
-            return xn
-        x = xn
-    return x
+    # A frozen row keeps its x, so its bracket stays as it stopped.
+    outcome = np.select((resolved, lo == 0.0, hi == 1.0), (_ROOT, _BELOW_GRID, _AT_ONE), _ROOT)
+    return x, outcome
 
 
 def _seed_grid(n: int) -> np.ndarray:
@@ -275,16 +248,16 @@ def _seed_grid(n: int) -> np.ndarray:
 
 
 def _maximize_curves(pair: ExponentPair, gammas: list[float], eps_grid: int = EPS_GRID):
-    """Yield (eps_star, curve_max) for each admissible gamma, in order.
+    """Yield (eps_star, curve_max, residual_applicable) per admissible gamma, in order.
 
     The seed grid, eps_grid uniform points plus a log tail, is built once
     per batch and scanned one gamma at a time, keeping only the argmax, so
     memory grows with the grid plus the batch and never with their
-    product.  The golden sections of all non-flat rows then run in
-    lockstep (_golden_sections).  numpy gives an element the same bits
-    whatever the array length, so each row equals a batch of one.  The
-    Newton polish and its acceptance test run per row as the row is
-    yielded, so an error surfaces at its own row.
+    product.  The stationarity roots of all non-flat rows are then found in
+    lockstep (_stationary_points), each on the grid points next to its
+    argmax.  numpy gives an element the same bits whatever the array
+    length, so each row equals a batch of one.  The acceptance test runs
+    per row as the row is yielded, so an error surfaces at its own row.
     """
     if not gammas:
         return
@@ -306,34 +279,29 @@ def _maximize_curves(pair: ExponentPair, gammas: list[float], eps_grid: int = EP
             i = int(vals.argmax())
             at[j], peak[j] = i + 1, vals[i]
         live = np.flatnonzero(peak > 1.0 + _FLAT_TOL)
-        lo, hi = grid[at - 1], grid[at + 1]
-        x_gold, v_gold = np.zeros_like(peak), np.zeros_like(peak)
+        x, value = grid[at], peak.copy()
+        outcome = np.full(len(gammas), _ROOT)
         if live.size:
-            x_gold[live], v_gold[live] = _golden_sections(
-                orders, k[:, live], lo[live], hi[live]
+            x[live], outcome[live] = _stationary_points(
+                pair, np.asarray(gammas)[live], x[live], grid[at[live] - 1], grid[at[live] + 1]
             )
-    rows = zip(
-        gammas, grid[at].tolist(), peak.tolist(), lo.tolist(), hi.tolist(),
-        x_gold.tolist(), v_gold.tolist(),
-    )
-    for j, (gamma, eps_star, curve_max, lo_j, hi_j, x_j, v_j) in enumerate(rows):
+            # Every root lies strictly inside (0, 1).
+            value[live] = _interior_curve(orders, k[:, live], np.log(x[live]), np.log1p(x[live]))
+    rows = zip(grid[at].tolist(), peak.tolist(), x.tolist(), value.tolist(), outcome.tolist())
+    for eps_star, curve_max, x_j, v_j, outcome_j in rows:
         if curve_max <= 1.0 + _FLAT_TOL:
-            yield 0.0, 1.0
-            continue
-        if v_j > curve_max:
-            eps_star, curve_max = x_j, v_j
-        # Value comparisons at the flat top resolve the maximizer only to
-        # about sqrt(ulp); the stationarity root is sharper, so it wins
-        # whenever its value matches the incumbent up to rounding.
-        x_newt = _newton_polish(pair, gamma, eps_star, lo_j, hi_j)
-        if x_newt != eps_star:
-            # x_newt lies strictly inside (lo_j, hi_j), within [0, 1].
-            x = np.array([x_newt])
-            with np.errstate(over="ignore"):
-                v_newt = float(_interior_curve(orders, k[:, j : j + 1], np.log(x), np.log1p(x))[0])
-            if v_newt >= curve_max * (1.0 - 1e-12):
-                eps_star, curve_max = x_newt, max(v_newt, curve_max)
-        yield (0.0, 1.0) if curve_max <= 1.0 + _FLAT_TOL else (eps_star, curve_max)
+            yield 0.0, 1.0, False
+        elif outcome_j == _BELOW_GRID:
+            raise NumericError(
+                f"shape-curve maximizer lies below eps={grid[1]:.3g}, too close to 0 to resolve"
+            )
+        # Curve values resolve the flat top only to about sqrt(ulp); the
+        # stationarity root is sharper, so it wins whenever its value
+        # matches the grid peak up to rounding.
+        elif v_j >= curve_max * (1.0 - 1e-12):
+            yield x_j, max(v_j, curve_max), outcome_j == _ROOT
+        else:
+            yield eps_star, curve_max, True
 
 
 def maximize_curve(pair: ExponentPair, gamma: float) -> tuple[float, float]:
@@ -345,8 +313,8 @@ def maximize_curve(pair: ExponentPair, gamma: float) -> tuple[float, float]:
     the result.
     """
     gamma = pair.require_gamma(gamma)
-    (result,) = _maximize_curves(pair, [gamma])
-    return result
+    ((eps_star, curve_max, _),) = _maximize_curves(pair, [gamma])
+    return eps_star, curve_max
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +327,10 @@ class PowerRhiReport:
     """Everything the reflected problem yields for one (pair, gamma).
 
     extension_constant is curve_max * halfline_constant by construction;
-    residual is the stationarity residual at eps_star when the maximizer is
-    interior (residual_applicable True) and 0.0 otherwise.
+    residual is the stationarity residual at eps_star when eps_star is an
+    interior critical point (residual_applicable True) and 0.0 otherwise:
+    for a flat curve, and for a maximizer closer to 1 than doubles resolve,
+    where eps_star is the largest double the search reached below it.
     """
 
     pair: ExponentPair
@@ -421,8 +391,7 @@ def _power_reports(
     valid = gammas[: len(hs)]
     curves = _maximize_curves(pair, [float(g) for g in valid], eps_grid)
     reports = []
-    for gamma, h, (eps_star, curve_max) in zip(valid, hs, curves):
-        applicable = 0.0 < eps_star < 1.0
+    for gamma, h, (eps_star, curve_max, applicable) in zip(valid, hs, curves):
         residual = stationarity_residual(pair, gamma, eps_star) if applicable else 0.0
         reports.append(
             PowerRhiReport(

@@ -17,11 +17,9 @@ from typing import Callable
 import numpy as np
 
 from . import classconst, generic, means, oracle, power
-from .core import DomainError, ExponentPair, Interval, gamma_domain
+from .core import SUITE_NAMES, DomainError, ExponentPair, Interval, gamma_domain
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
-
-SUITE_NAMES = ("means", "power", "class", "generic")
 
 
 @dataclass(frozen=True)

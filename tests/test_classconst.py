@@ -196,18 +196,34 @@ def test_gamma_sweep_rows_equal_reports_of_one(pair, toward):
 @pytest.mark.parametrize(
     "pair, gamma, eps_star, curve_max",
     [
-        (ExponentPair(1.0, 2.0), 1.0, 0.2679491924311225, 1.0606601717798212),
-        (ExponentPair(1.0, 2.0), 1000.0, 0.9917438578633975, 1.4109405032576503),
-        (ExponentPair(1.0, 2.0), -0.4999, 9.999966267912868e-09, 1.4127718116674874),
-        (ExponentPair(-1.0, 1.0), -0.9, 0.021328828398527858, 1.6122236579024496),
-        (ExponentPair(-2.0, -1.0), 0.4999, 9.999966267912871e-09, 1.4127718116674874),
+        (ExponentPair(1.0, 2.0), 1.0, 0.2679491924311227, 1.0606601717798212),
+        (ExponentPair(1.0, 2.0), 1000.0, 0.9917438578633976, 1.4109405032576503),
+        (ExponentPair(1.0, 2.0), -0.4999, 9.999966267912873e-09, 1.4127718116674874),
+        (ExponentPair(-1.0, 1.0), -0.9, 0.021328828398527948, 1.6122236579024498),
+        (ExponentPair(-2.0, -1.0), 0.4999, 9.999966267912868e-09, 1.4127718116674874),
     ],
+    ids=["pos-1", "pos-1000", "pos-near-lower", "mixed-near-lower", "neg-near-upper"],
 )
 def test_sweep_maximizers_are_pinned(pair, gamma, eps_star, curve_max):
     (row,) = gamma_sweep(pair, [gamma])
     assert (row.eps_star, row.curve_max) == (eps_star, curve_max)
     rows = gamma_sweep(pair, [0.0, gamma, 0.5 * gamma])
     assert (rows[1].eps_star, rows[1].curve_max) == (eps_star, curve_max)
+
+
+def test_mixed_sweep_rows_equal_reports_of_one():
+    # A flat row, interior rows, approaches toward both ends of (-0.5, inf)
+    # and a maximizer closer to 1 than doubles resolve, in one lockstep batch.
+    pair = ExponentPair(1.0, 2.0)
+    gammas = (
+        [0.0, 1.0, -0.3, 7.5]
+        + gamma_approach_sequence(pair, -0.5, 10)
+        + gamma_approach_sequence(pair, math.inf, 10)
+        + [1e306, 2.0]
+    )
+    rows = gamma_sweep(pair, gammas)
+    assert rows == [power_report(pair, g) for g in gammas]
+    assert [r.residual_applicable for r in rows] == [g not in (0.0, 1e306) for g in gammas]
 
 
 def test_gamma_sweep_memory_stays_linear():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rhiconst import oracle
+from rhiconst import means, oracle
 from rhiconst.core import DataError, DomainError, ExponentPair, NumericError
 from rhiconst.means import AffinePower, PowerLaw, SampledTable
 from rhiconst.oracle import (
@@ -18,6 +18,22 @@ from rhiconst.power import extension_curve, power_report
 
 P_12 = 1.1547005383792517  # 2/sqrt(3)
 R_12 = 1.224744871391589  # sqrt(3/2)
+
+
+@pytest.mark.parametrize(
+    "nodes, weights",
+    [
+        (means._GL_NODES, means._GL_WEIGHTS),
+        (oracle._GL10_NODES, oracle._GL10_WEIGHTS),
+    ],
+    ids=["means-16", "oracle-10"],
+)
+def test_gauss_legendre_literals_have_the_bits_of_leggauss(nodes, weights):
+    # Each module lists its rule as float literals, so that importing the
+    # package does not import numpy.polynomial.
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(nodes.size)
+    assert nodes.tolist() == want_nodes.tolist()
+    assert weights.tolist() == want_weights.tolist()
 
 
 def test_constant_function_gives_unit_ratio():

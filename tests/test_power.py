@@ -23,7 +23,7 @@ from rhiconst.power import (
 # For (1,2) at gamma=1 everything is algebraic: the stationarity quartic
 # factors as -(e-1)(e+1)(e^2-4e+1), so the interior root is 2-sqrt(3), the
 # curve maximum is 3/(2 sqrt 2) and the extension constant is sqrt(3/2).
-EPS_STAR_12 = 0.2679491924311228
+EPS_STAR_12 = 0.2679491924311227  # 2 - sqrt(3), correctly rounded
 CURVE_MAX_12 = 1.0606601717798212
 P_12 = 1.1547005383792517  # 2/sqrt(3)
 R_12 = 1.224744871391589  # sqrt(3/2)
@@ -107,7 +107,7 @@ def test_curve_exceeds_one_in_interior(case, eps):
 
 def test_maximizer_and_value_are_algebraic_for_linear_case():
     eps, cmax = maximize_curve(ExponentPair(1.0, 2.0), 1.0)
-    assert abs(eps - EPS_STAR_12) <= 5e-15
+    assert abs(eps - EPS_STAR_12) <= math.ulp(EPS_STAR_12)
     assert math.isclose(cmax, CURVE_MAX_12, rel_tol=1e-14)
 
 
@@ -152,6 +152,17 @@ def test_large_gamma_growth_approaches_class_limit():
     rep = power_report(ExponentPair(1.0, 2.0), 1000.0)
     assert rep.curve_max >= 0.98 * math.sqrt(2.0)
     assert rep.curve_max < math.sqrt(2.0)
+
+
+def test_maximizer_closer_to_one_than_doubles_resolve():
+    # For gamma = 1e306 the powers eps**(gamma*order + 1) vanish in double
+    # for every eps < 1, so the curve rises toward sqrt(2) at eps = 1 and
+    # the residual is 1 at every double below 1: no root is resolved.
+    rep = power_report(ExponentPair(1.0, 2.0), 1e306)
+    assert 0.0 < rep.eps_star < 1.0
+    assert rep.curve_max >= 1.4142135623730945 * (1.0 - 1e-12)
+    assert not rep.residual_applicable
+    assert rep.residual == 0.0
 
 
 def test_power_report_fields_are_consistent():
