@@ -40,7 +40,7 @@ from .means import (
     PowerLaw,
     table_from_csv,
 )
-from .power import EPS_GRID, power_report
+from .power import EPS_GRID, power_report, stationarity_terms
 
 __all__ = ["main"]
 
@@ -219,12 +219,17 @@ def _cmd_power(args) -> int:
     if args.format == "csv":
         _emit(_csv_text(_SWEEP_GAMMA_COLUMNS, [row]), args.out)
         return 0
+    # The scale that judges the residual: its largest term at eps_star.
+    scale = 0.0
+    if report.residual_applicable:
+        scale = max(map(abs, stationarity_terms(pair, args.gamma, report.eps_star)))
     record = _record(
         "power",
         {"alpha": pair.alpha, "beta": pair.beta, "gamma": args.gamma},
         {**row, "residual": report.residual},
         {
             "residual_applicable": report.residual_applicable,
+            "residual_scale": scale,
             "gamma_domain": str(gamma_domain(pair)),
             "eps_grid": args.grid,
         },

@@ -12,17 +12,20 @@ Reductions from the structure of the input shrink the search space:
 * monotone inputs: the half-line supremum is approached on intervals
   anchored at the origin, so the search is one-dimensional in the right
   endpoint.
-* even extensions: it suffices to search straddling shapes (-eps*b, b)
-  with eps in [0, 1].
+* even extensions: it suffices to search straddling intervals (-a, b),
+  over (log a, log b) with both seeded from one log lattice.
 * pure powers: scale invariance under x -> lambda*x collapses the
-  extension search to eps alone at b = 1.
+  extension search to (-eps, 1) with eps in [0, 1] alone.  a*x**gamma
+  (AffinePower with no offset) has the ratios of x**gamma and takes the
+  pure power's searches.
 
 Analytic inputs of unknown monotonicity get the full two-dimensional
 (start, width) search, which is also the reference the origin-anchored
 reduction is checked against.  Every analytic search seeds _INTERVAL_GRID
-points per axis; no caller sizes it, so verify checks the searches that
-estimate runs.  Sampled tables get no reduction: tables.py ranks every
-window between two knots, and the best knot pairs are then polished here.
+points per axis (the extension's a axis 2 * _INTERVAL_GRID - 1); no
+caller sizes it, so verify checks the searches that estimate runs.
+Sampled tables get no reduction: tables.py ranks every window between
+two knots, and the best knot pairs are then polished here.
 
 Every search runs on one engine, _grid_refine, which refines many
 independent searches in lockstep; an analytic search is a batch of one.
@@ -47,11 +50,13 @@ from .core import (
     NumericError,
 )
 from .means import (
+    AffinePower,
     EvenExtensionView,
     FunctionSpec,
     Monotonicity,
     PowerLaw,
     SampledTable,
+    _Memo,
     _scored_ratios,
     mean_ratio,
 )
@@ -66,8 +71,14 @@ __all__ = [
     "extension_ratio",
 ]
 
-# Smallest straddle fraction seeded below the uniform eps grid.
+# Smallest straddle fraction seeded below the uniform eps grid of a pure
+# power's extension search.
 _EPS_TAIL_FLOOR = 1e-6
+
+# Fewest refinement rounds of the 2-D extension search before a round that
+# gains little ends it.  Its lattice is coarse in a near a = b, where one
+# round that gains nothing can leave it 1e-5 below the supremum.
+_EXTENSION_ROUNDS = 2
 
 # Most points scored by one batched quadrature pass.  A pass holds some
 # state per interval and order (both means of a ratio are taken in one
@@ -136,24 +147,29 @@ class ExtensionRatio:
 # seed grids of all searches, then each round's refinement stencils of the
 # searches still refining, cost one batched pass (means._scored_ratios)
 # instead of one Python call per interval.  A quadrature pass keeps some
-# state per interval, so it takes at most _SCORE_SLICE rows, in order of
-# their right ends, not in grid order: a pass integrates each distinct
-# piece once, and the straddles (-eps*b, b) of one b share their piece
-# (0, b), so a slice that holds whole b-columns of the seed grid integrates
-# each (0, b) once instead of once per eps.  A table pass keeps O(1) state
-# per window and takes every row at once.  A row that is no interval (an
-# endpoint not finite, or lo >= hi) or cannot be evaluated (overflow,
-# exhausted quadrature) scores -inf, never NaN, and counts as a plain
-# non-maximum.  Coordinates are whatever the caller chose (log-scale or
-# linear); refinement is linear in that coordinate.
+# state per interval, so it takes at most _SCORE_SLICE rows.  The passes
+# of one analytic search share a memo (means._Memo), so an
+# origin-anchored piece, such as either half (0, a) or (0, b) of a
+# straddle (-a, b), is integrated once per level and order in the whole
+# search, whatever slice or round asks for it.  The straddle seeds take a
+# and b from one lattice of 2n - 1 logs, so the 2n**2 - n straddles of
+# the seed grid have 2n - 1 distinct pieces, and a stencil (9 values of a
+# times 9 of b) has at most 18.  A table pass keeps O(1) state per window
+# and takes every row at once.  A row that is no interval (an endpoint not
+# finite, or lo >= hi) or cannot be evaluated (overflow, exhausted
+# quadrature) scores -inf, never NaN, and counts as a plain non-maximum.
+# Coordinates are whatever the caller chose (log-scale or linear);
+# refinement is linear in that coordinate.
 #
 # Every mean is taken to QUAD_TOL within the level budget of means
 # (means._QUAD_MAX_LEVELS).  A search runs at most _REFINE_ROUNDS rounds,
 # shrinking its brackets by _REFINE_SHRINK each, and stops after a round
-# that gains less than _CONVERGE_RTOL (relative).  The analytic searches
+# that gains less than _CONVERGE_RTOL (relative); the 2-D extension search
+# runs at least _EXTENSION_ROUNDS rounds first.  The analytic searches
 # seed widths, right ends and nonzero starts log-uniformly over
 # [_SCALE_MIN, _SCALE_MAX], _INTERVAL_GRID seeds per axis, read when a
-# search starts.
+# search starts; the extension seeds a on a lattice that reaches down to
+# _SCALE_MIN**2 / _SCALE_MAX.
 
 QUAD_TOL = 1e-8
 _INTERVAL_GRID = 64
@@ -186,7 +202,7 @@ def _stencils(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1).reshape(n, -1, d)
 
 
-def _grid_refine(score, boxes, rtol: float = _CONVERGE_RTOL) -> list:
+def _grid_refine(score, boxes, rtol: float = _CONVERGE_RTOL, least_rounds: int = 1) -> list:
     """Maximize a vectorised score over many product grids in lockstep.
 
     boxes holds one search each: a list of per-axis seed arrays, the same
@@ -196,11 +212,11 @@ def _grid_refine(score, boxes, rtol: float = _CONVERGE_RTOL) -> list:
     seeds.  Each of at most _REFINE_ROUNDS refinement rounds scores a
     9-point-per-axis stencil over the brackets of every search still
     refining, again in one call, and moves a search's incumbent to its
-    stencil's first maximum only on a strict improvement.  A round that
-    gains less than rtol (relative) ends that search; otherwise every
-    bracket of it shrinks by _REFINE_SHRINK around its incumbent, clipped
-    to the seed range of its axis.  A search returns exactly what it would
-    return alone.
+    stencil's first maximum only on a strict improvement.  From round
+    least_rounds on, a round that gains less than rtol (relative) ends
+    that search; otherwise every bracket of it shrinks by _REFINE_SHRINK
+    around its incumbent, clipped to the seed range of its axis.  A search
+    returns exactly what it would return alone.
 
     Returns, per search, (point, best, evals, converged) with point a
     tuple of floats, or the NumericError of a search none of whose seeds
@@ -229,7 +245,7 @@ def _grid_refine(score, boxes, rtol: float = _CONVERGE_RTOL) -> list:
             lo[s, axis] = a[max(i - 1, 0)]
             hi[s, axis] = a[min(i + 1, len(a) - 1)]
             first[s, axis], last[s, axis] = a[0], a[-1]
-    for _ in range(_REFINE_ROUNDS):
+    for rounds in range(1, _REFINE_ROUNDS + 1):
         act = np.flatnonzero(active)
         if not len(act):
             break
@@ -242,7 +258,7 @@ def _grid_refine(score, boxes, rtol: float = _CONVERGE_RTOL) -> list:
         better = top > previous
         best[act[better]] = top[better]
         point[act[better]] = stencil[better, k[better]]
-        done = (best[act] - previous) / previous < rtol
+        done = ((best[act] - previous) / previous < rtol) & (rounds >= least_rounds)
         converged[act[done]] = True
         active[act[done]] = False
         act = act[~done]
@@ -257,29 +273,39 @@ def _grid_refine(score, boxes, rtol: float = _CONVERGE_RTOL) -> list:
     ]
 
 
-def _search(f: FunctionSpec, pair: ExponentPair, bounds, boxes, rtol: float = _CONVERGE_RTOL):
+def _search(
+    f: FunctionSpec,
+    pair: ExponentPair,
+    bounds,
+    boxes,
+    rtol: float = _CONVERGE_RTOL,
+    least_rounds: int = 1,
+):
     """Largest mean ratios of f over the intervals of the family bounds.
 
     One lockstep search runs per box of seeds (_grid_refine).  bounds(points)
     gives the endpoint arrays (lo, hi) of the intervals at an (n, d) array
-    of points.  Returns, per box, (value, witness, evals, converged) or the
-    NumericError of a box none of whose seeds could be evaluated.
+    of points.  The passes of an analytic search share one means._Memo, so
+    an origin-anchored piece is integrated once per level and order
+    whatever the slice or round that asks for it.  Returns, per box,
+    (value, witness, evals, converged) or the NumericError of a box none
+    of whose seeds could be evaluated.
     """
     whole = isinstance(f, SampledTable)
+    memo = None if whole else _Memo()
 
     def score(points: np.ndarray) -> np.ndarray:
         scores = np.full(len(points), -math.inf)
         lo, hi = bounds(points)
         rows = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
-        rows = rows[np.argsort(hi[rows], kind="stable")]
         step = max(1, len(rows)) if whole else _SCORE_SLICE
         for i in range(0, len(rows), step):
             r = rows[i : i + step]
-            scores[r] = _scored_ratios(f, lo[r], hi[r], pair, QUAD_TOL)
+            scores[r] = _scored_ratios(f, lo[r], hi[r], pair, QUAD_TOL, memo)
         return scores
 
     found = []
-    for result in _grid_refine(score, boxes, rtol):
+    for result in _grid_refine(score, boxes, rtol, least_rounds):
         if not isinstance(result, NumericError):
             point, value, evals, converged = result
             lo, hi = bounds(np.array([point]))
@@ -295,7 +321,8 @@ def _best(f: FunctionSpec, pair: ExponentPair, found, evals: int = 0) -> Supremu
     failed, the first error is raised.  Its search points are evals plus
     the evaluations of every search kept.  The other kept searches'
     witnesses are scored again in one batch, and the winner's by the scalar
-    mean_ratio; each must give its search's value exactly.
+    mean_ratio, both with no memo, so their pieces are integrated afresh;
+    each must give its search's value exactly.
     """
     kept = [r for r in found if not isinstance(r, NumericError)]
     if not kept:
@@ -315,14 +342,24 @@ def _best(f: FunctionSpec, pair: ExponentPair, found, evals: int = 0) -> Supremu
 
 
 def _exp(w: np.ndarray) -> np.ndarray:
-    # math, not numpy: np.exp can differ from math.exp in the last bit,
-    # which would move every witness.
-    return np.array([math.exp(x) for x in w.tolist()])
+    # One np.exp over a contiguous copy: numpy gives each element the bits
+    # it gives that element alone, so a witness rebuilt from its point
+    # alone has the ends it was scored with.
+    return np.exp(np.ascontiguousarray(w))
 
 
 def _log_scale_seeds(n: int) -> np.ndarray:
     """n seeds uniform in log scale over the scale window, as logs."""
     return np.linspace(math.log(_SCALE_MIN), math.log(_SCALE_MAX), n)
+
+
+def _canonical(f: FunctionSpec) -> FunctionSpec:
+    """PowerLaw(gamma) for AffinePower(a, gamma, 0), else f itself: a mean
+    ratio does not change under f -> a*f, and a pure power takes the
+    scale-invariant searches."""
+    if isinstance(f, AffinePower) and f.offset == 0.0:
+        return PowerLaw(f.gamma)
+    return f
 
 
 def _check_input(f: FunctionSpec, pair: ExponentPair) -> None:
@@ -385,9 +422,11 @@ def estimate_halfline(f: FunctionSpec, pair: ExponentPair) -> SupremumEstimate:
     A table gets the exhaustive knot-pair scan and polish, seeded at its
     knots.  Monotone analytic inputs use the one-dimensional
     origin-anchored family, other analytic inputs the full (start, width)
-    search, each with _INTERVAL_GRID seeds per axis.
+    search, each with _INTERVAL_GRID seeds per axis.  AffinePower(a,
+    gamma, 0) is searched as PowerLaw(gamma).
     """
     _check_input(f, pair)
+    f = _canonical(f)
     if isinstance(f, SampledTable):
         return _search_table(f, pair)
     if f.monotonicity is Monotonicity.UNKNOWN:
@@ -415,6 +454,19 @@ def _eps_seeds(n: int) -> np.ndarray:
     return seeds[np.append(True, seeds[1:] != seeds[:-1])]
 
 
+def _straddle_lattice(n: int) -> np.ndarray:
+    """2n - 1 logs, uniform over [_SCALE_MIN**2 / _SCALE_MAX, _SCALE_MAX];
+    the last n span the scale window with the spacing of its n seeds.
+
+    The lattice seeds log a of the straddles (-a, b) and its last n seed
+    log b, so a straddle's two pieces (0, a) and (0, b) are exps of the
+    same floats and the seed grid has 2n - 1 distinct pieces.  Its
+    smallest a, _SCALE_MIN times the smallest b, stands in for the
+    origin-anchored interval (0, b).
+    """
+    return np.linspace(math.log(_SCALE_MIN**2 / _SCALE_MAX), math.log(_SCALE_MAX), 2 * n - 1)
+
+
 def _check_extension_input(f: FunctionSpec, pair: ExponentPair) -> None:
     if isinstance(f, SampledTable):
         raise DataError(
@@ -429,23 +481,31 @@ def _check_extension_input(f: FunctionSpec, pair: ExponentPair) -> None:
 def estimate_extension(f: FunctionSpec, pair: ExponentPair) -> SupremumEstimate:
     """Searched lower bound on the mean-ratio supremum of the even extension.
 
-    Only straddling shapes (-eps*b, b) need to be searched.  Pure powers
-    drop the b axis by scale invariance.  Tables are rejected: their even
+    Only straddling shapes (-a, b) need to be searched, over (log a, log b)
+    on one lattice (_straddle_lattice), for at least _EXTENSION_ROUNDS
+    refinement rounds.  Pure powers, and AffinePower(a, gamma, 0) as
+    PowerLaw(gamma), drop the scale by scale invariance: they search
+    (-eps, 1) over eps in [0, 1] alone.  Tables are rejected: their even
     extension is undefined on the gap around the origin.
     """
     _check_extension_input(f, pair)
+    f = _canonical(f)
     extended = EvenExtensionView(f)
+    if isinstance(f, PowerLaw):
+
+        def shape(points: np.ndarray):
+            return -points[:, 0], np.ones(len(points))
+
+        return _best(extended, pair, _search(extended, pair, shape, [[_eps_seeds(_INTERVAL_GRID)]]))
 
     def straddle(points: np.ndarray):
-        # Rows are (eps, log b), or eps alone at b = 1.
-        b = _exp(points[:, 1]) if points.shape[1] > 1 else np.ones(len(points))
-        return -points[:, 0] * b, b
+        # Rows are (log a, log b).
+        return -_exp(points[:, 0]), _exp(points[:, 1])
 
-    eps_seeds = _eps_seeds(_INTERVAL_GRID)
-    if isinstance(f, PowerLaw):
-        return _best(extended, pair, _search(extended, pair, straddle, [[eps_seeds]]))
-    bseeds = _log_scale_seeds(_INTERVAL_GRID)
-    return _best(extended, pair, _search(extended, pair, straddle, [[eps_seeds, bseeds]]))
+    lattice = _straddle_lattice(_INTERVAL_GRID)
+    boxes = [[lattice, lattice[_INTERVAL_GRID - 1 :]]]
+    found = _search(extended, pair, straddle, boxes, least_rounds=_EXTENSION_ROUNDS)
+    return _best(extended, pair, found)
 
 
 def extension_ratio(f: FunctionSpec, pair: ExponentPair) -> ExtensionRatio:

@@ -45,9 +45,11 @@ advance a level together with every order, and the pieces of the
 intervals still refining are integrated in rectangular blocks of one rule
 and cell count.  Equal pieces are integrated once per level and order,
 while any interval owning them still refines that order, and the integral
-is handed to each owner; the straddles (-eps*b, b) of one b all share
-(0, b).  A block is cut into chunks of at most _NODE_BUDGET new nodes per
-integrand call, which bounds memory whatever the batch size.  Orders with
+is handed to each owner; straddles (-a, b) and (-a, c) share (0, a), and
+(-a, b) and (-b, a) share both pieces.  A pass may also be given a memo
+(_Memo) that carries origin-anchored integrals from one pass of a search
+to the next.  A block is cut into chunks of at most _NODE_BUDGET new
+nodes per integrand call, which bounds memory whatever the batch size.  Orders with
 the same substitution exponent p build each chunk's nodes once and share
 one log f, the input's log_values, and each takes f**r = exp(r * log f);
 log_values is where an input decides how f**r is taken.  It gets the
@@ -771,6 +773,23 @@ class _Order:
             self.rest[q], sums = _origin_sums(self.rest[q], sums)
         self.distinct[q] = sums
 
+    def recall(self, memo: _Memo, level: int, zq: np.ndarray, rows: np.ndarray) -> None:
+        """Take this level of the origin-anchored pieces zq that memo holds
+        (at its rows) from it, and no longer count them as needed."""
+        reached, integrals, rests = memo.levels(self.order)
+        hit = self.needed[zq] & (reached[rows] > level)
+        q, r = zq[hit], rows[hit]
+        self.distinct[q], self.rest[q] = integrals[r, level], rests[r, level]
+        self.needed[q] = False
+
+    def remember(self, memo: _Memo, level: int, zq: np.ndarray, rows: np.ndarray) -> None:
+        """Put this level of the pieces zq just integrated into memo."""
+        reached, integrals, rests = memo.levels(self.order)
+        new = self.needed[zq]
+        q, r = zq[new], rows[new]
+        integrals[r, level], rests[r, level] = self.distinct[q], self.rest[q]
+        reached[r] = level + 1
+
     def fail(self, failed: np.ndarray, exc: RhiError) -> None:
         self.errors.update(dict.fromkeys(failed.tolist(), exc))
         self.failed[failed] = True
@@ -836,7 +855,45 @@ class _Order:
                 left &= ~hit
 
 
-def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
+class _Memo:
+    """Origin-anchored piece integrals kept across the passes of one search.
+
+    Such a piece's integral at a level, and the running sum of its cells
+    other than the first, depend only on its right end, the level, the
+    order and p.  A pass given a memo takes every level a piece has there
+    from it, integrates only the levels beyond and adds those, so it gives
+    the bits it would give alone.  One memo serves one input: p is a
+    function of the order and the input.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict[float, int] = {}
+        # Per order: the levels kept per row, and per row and level the
+        # integral and the running sum.
+        self.orders: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def index(self, ends: np.ndarray) -> np.ndarray:
+        """The memo row of each right end in ends, a new row for a new end."""
+        rows = self.rows
+        return np.array([rows.setdefault(t, len(rows)) for t in ends.tolist()], dtype=np.intp)
+
+    def levels(self, order: float):
+        """(levels kept, integrals, running sums) of an order, one row per end."""
+        kept = self.orders.get(order)
+        if kept is None or len(kept[0]) < len(self.rows):
+            size = 2 * len(self.rows)
+            grown = (
+                np.zeros(size, dtype=np.intp),
+                np.zeros((size, _QUAD_MAX_LEVELS)),
+                np.zeros((size, _QUAD_MAX_LEVELS)),
+            )
+            for new, old in zip(grown, kept or ()):
+                new[: len(old)] = old
+            kept = self.orders[order] = grown
+        return kept
+
+
+def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool, memo: _Memo | None = None):
     """Adaptive means of each order in orders over every interval (lo[i], hi[i]) at once.
 
     Every interval refines level by level, at most _QUAD_MAX_LEVELS of
@@ -847,6 +904,9 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
     it ends where a restart from level 0 would.  The first order leads:
     from the level after its mean of an interval fails, the other orders
     do no more work on that interval.
+
+    With a memo, origin-anchored pieces take the levels it holds from it
+    and add the levels they integrate to it (_Memo).
 
     Returns, per order, (values, diffs, errors): per-interval means and
     last-level differences, and the RhiError each failed interval would
@@ -910,6 +970,8 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
     for o in others:
         o.active &= ~lead.failed
     lengths = hi - lo
+    zq = blocks.get("zero") if memo is not None else None
+    rows = None if zq is None else memo.index(uhi[zq])
 
     for level in range(_QUAD_MAX_LEVELS):
         live = [o for o in passes if o.active.any()]
@@ -919,6 +981,8 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
             # A distinct piece is needed while any interval owning it refines.
             o.needed = np.zeros(len(ulo), dtype=bool)
             o.needed[uid[o.active[owner]]] = True
+            if rows is not None:
+                o.recall(memo, level, zq, rows)
         for kind, qs in blocks.items():
             # Orders with the same substitution exponent share their nodes.
             by_p: dict[float, list[_Order]] = {}
@@ -926,6 +990,9 @@ def _means(f: FunctionSpec, lo, hi, orders, tol: float, tighten: bool):
                 by_p.setdefault(o.p if kind == "zero" else 1.0, []).append(o)
             for p, group in by_p.items():
                 _integrate(base, _mesh(kind, level, p), qs, ulo, uhi, group)
+        if rows is not None:
+            for o in live:
+                o.remember(memo, level, zq, rows)
         failures = len(lead.errors)
         for o in live:
             o.settle(owner, o.distinct[uid], lengths)
@@ -1020,7 +1087,9 @@ def quad_mean(
     return MeanValue(float(values[0]), order, interval, float(diffs[0]))
 
 
-def _ratios(f, lo, hi, pair, tol) -> tuple[np.ndarray, dict[int, RhiError]]:
+def _ratios(
+    f, lo, hi, pair, tol, memo: _Memo | None = None
+) -> tuple[np.ndarray, dict[int, RhiError]]:
     """M_beta / M_alpha over intervals (lo[i], hi[i]), -inf where it fails,
     and the RhiError of each failed interval.
 
@@ -1034,7 +1103,7 @@ def _ratios(f, lo, hi, pair, tol) -> tuple[np.ndarray, dict[int, RhiError]]:
     if not (0.0 < tol < 1.0):
         raise DomainError("tolerance must lie in (0, 1)")
     orders = (pair.beta, pair.alpha)
-    (beta, _, errors), (alpha, _, failed) = _means(f, lo, hi, orders, tol / 3.0, True)
+    (beta, _, errors), (alpha, _, failed) = _means(f, lo, hi, orders, tol / 3.0, True, memo)
     for i, exc in failed.items():
         errors.setdefault(i, exc)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1043,9 +1112,14 @@ def _ratios(f, lo, hi, pair, tol) -> tuple[np.ndarray, dict[int, RhiError]]:
     return ratios, errors
 
 
-def _scored_ratios(f, lo: np.ndarray, hi: np.ndarray, pair, tol) -> np.ndarray:
-    """mean_ratios over the intervals (lo[i], hi[i]); each must be finite with lo < hi."""
-    ratios, errors = _ratios(f, lo, hi, pair, tol)
+def _scored_ratios(
+    f, lo: np.ndarray, hi: np.ndarray, pair, tol, memo: _Memo | None = None
+) -> np.ndarray:
+    """mean_ratios over the intervals (lo[i], hi[i]); each must be finite with lo < hi.
+
+    A memo carries origin-anchored pieces from one call to the next (_Memo).
+    """
+    ratios, errors = _ratios(f, lo, hi, pair, tol, memo)
     for exc in errors.values():
         if not isinstance(exc, (DomainError, NumericError, QuadratureError)):
             raise exc

@@ -51,6 +51,26 @@ def test_power_json_values(capsys):
     assert record["diagnostics"]["residual_applicable"] is True
 
 
+@pytest.mark.parametrize(
+    "gamma, scale",
+    [("-0.4999", (1e4, 1e5)), ("1", (0.1, 10.0)), ("0", (0.0, 0.0)), ("1e306", (0.0, 0.0))],
+)
+def test_power_reports_the_scale_of_its_residual(capsys, gamma, scale):
+    # Near the end of the gamma domain the residual is -7.28e-12, but its
+    # terms are about 2e4: the residual is 3.7e-16 of their scale.  Without
+    # an interior root (flat at gamma = 0, beyond resolution at 1e306) the
+    # scale is 0, like the residual.
+    code, out, _ = run_cli(capsys, "power", "--alpha", "1", "--beta", "2", "--gamma", gamma)
+    assert code == 0
+    record = json.loads(out)
+    got = record["diagnostics"]["residual_scale"]
+    assert scale[0] <= got <= scale[1]
+    assert abs(record["results"]["residual"]) <= 1e-14 * got
+    if record["diagnostics"]["residual_applicable"]:
+        pair, eps = ExponentPair(1.0, 2.0), record["results"]["eps_star"]
+        assert got == max(abs(t) for t in power.stationarity_terms(pair, float(gamma), eps))
+
+
 def test_power_json_is_byte_deterministic(capsys):
     argv = ("power", "--alpha", "-0.4", "--beta", "-0.2", "--gamma", "3")
     _, first, _ = run_cli(capsys, *argv)

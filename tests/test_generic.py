@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rhiconst import generic, tables
+from rhiconst import generic, means, tables
 from rhiconst.core import (
     DataError,
     DomainError,
@@ -207,7 +207,7 @@ def test_table_without_declared_monotonicity_gets_full_search():
         ),
         (
             lambda: estimate_extension(AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0)),
-            (1.4026358134371757, -79.36507936507934, 999.9999999999998, 5201, True),
+            (1.4026452192845358, -81.41684814475722, 999.9999999999998, 8290, True),
         ),
     ],
     ids=["pow-extension-1d", "affpow-halfline-1d", "expdecay-halfline-2d", "affpow-extension-2d"],
@@ -218,6 +218,120 @@ def test_default_searches_are_pinned(search, expected):
     est = search()
     got = (est.value, est.witness.lo, est.witness.hi, est.search_points, est.converged)
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "f, pair",
+    [
+        (AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0)),
+        (AffinePower(1.0, 1.0, 0.5), ExponentPair(0.96, 1.95)),
+    ],
+    ids=["pinned", "round-without-gain"],
+)
+def test_extension_search_reaches_the_oracle(f, pair):
+    # Stopped after one round, the searches stayed 5.7e-6 (pinned) and
+    # 1.3e-5 below the oracle: for the second input the first stencil
+    # around the best seed gains less than _CONVERGE_RTOL.  The extension
+    # search refines at least _EXTENSION_ROUNDS rounds.
+    est = estimate_extension(f, pair)
+    n = generic._INTERVAL_GRID
+    assert est.search_points >= (2 * n - 1) * n + generic._EXTENSION_ROUNDS * 81
+    assert est.value >= brute_extension(f, pair)
+
+
+def _integrated(monkeypatch) -> list:
+    """Record (order, level, right end) of every origin-anchored piece that
+    means._integrate integrates, in order."""
+    pieces = []
+    integrate = means._integrate
+
+    def recording(base, mesh, qs, ulo, uhi, group):
+        if mesh.kind == "zero":
+            for o in group:
+                ends = uhi[qs[o.needed[qs]]].tolist()
+                pieces.extend((o.order, mesh.level, t) for t in ends)
+        integrate(base, mesh, qs, ulo, uhi, group)
+
+    monkeypatch.setattr(means, "_integrate", recording)
+    return pieces
+
+
+def _marked(monkeypatch, pieces: list) -> tuple[list, list]:
+    """How many pieces were recorded at the end of each scoring pass, and
+    when the scalar re-score of the witness started."""
+    passes, rescore = [], []
+    scored, ratio = generic._scored_ratios, generic.mean_ratio
+
+    def pass_(f, lo, hi, pair, tol, memo=None):
+        got = scored(f, lo, hi, pair, tol, memo)
+        passes.append(len(pieces))
+        return got
+
+    def scalar(f, interval, pair, tol):
+        rescore.append(len(pieces))
+        return ratio(f, interval, pair, tol)
+
+    monkeypatch.setattr(generic, "_scored_ratios", pass_)
+    monkeypatch.setattr(generic, "mean_ratio", scalar)
+    return passes, rescore
+
+
+def test_extension_search_integrates_each_piece_once(monkeypatch):
+    # The passes of one search share a memo: the seed grid's slices and the
+    # stencils integrate each origin-anchored piece at most once per level
+    # and order, and the seed grid's pieces are the 2n - 1 lattice scales.
+    f, pair = AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0)
+    pieces = _integrated(monkeypatch)
+    passes, rescore = _marked(monkeypatch, pieces)
+    estimate_extension(f, pair)
+    searched = pieces[: rescore[0]]
+    assert len(set(searched)) == len(searched)
+    n = generic._INTERVAL_GRID
+    slices = -(-n * (2 * n - 1) // generic._SCORE_SLICE)
+    assert slices > 1
+    seed = searched[: passes[slices - 1]]
+    lattice = set(np.exp(generic._straddle_lattice(n)).tolist())
+    for order in (pair.beta, pair.alpha):
+        ends = {t for o, level, t in seed if o == order and level == 0}
+        assert ends and ends <= lattice and len(lattice) == 2 * n - 1
+
+
+def test_memo_gives_the_bits_of_fresh_passes(monkeypatch):
+    # Every pass of the default extension search, the slices of the seed
+    # grid and then each stencil, scores with the search's memo exactly as
+    # a pass without one.
+    passes = []
+    scored = generic._scored_ratios
+
+    def recording(f, lo, hi, pair, tol, memo=None):
+        got = scored(f, lo, hi, pair, tol, memo)
+        passes.append((memo, got.tolist(), scored(f, lo, hi, pair, tol).tolist()))
+        return got
+
+    monkeypatch.setattr(generic, "_scored_ratios", recording)
+    estimate_extension(AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0))
+    assert len(passes) > 1
+    assert all(isinstance(memo, means._Memo) for memo, _, _ in passes)
+    assert len({id(memo) for memo, _, _ in passes}) == 1
+    for _, got, fresh in passes:
+        assert got == fresh
+
+
+def test_witness_rescore_integrates_its_pieces_afresh(monkeypatch):
+    # _best re-scores the witness with mean_ratio and no memo: its pieces
+    # are integrated again from level 0, at levels the search also took.
+    f, pair = AffinePower(1.0, 0.5, 0.5), ExponentPair(-1.0, 1.0)
+    pieces = _integrated(monkeypatch)
+    _, rescore = _marked(monkeypatch, pieces)
+    est = estimate_extension(f, pair)
+    [start] = rescore
+    searched, again = pieces[:start], pieces[start:]
+    for order in (pair.beta, pair.alpha):
+        for end in (-est.witness.lo, est.witness.hi):
+            before = {level for o, level, t in searched if o == order and t == end}
+            levels = [level for o, level, t in again if o == order and t == end]
+            assert levels == list(range(len(levels))) and levels
+            assert set(levels) <= before
 
 
 def test_default_extension_search_memory_is_bounded():
@@ -317,6 +431,13 @@ def _inner_knots(iv: Interval) -> int:
             GRID,
             lambda ivs, scores: any(iv.lo < 0.0 < iv.hi for iv in ivs),
         ),
+        # AffinePower(a, gamma, 0) is searched as a pure power, so this is
+        # the singular case of the two-dimensional straddle search.
+        (
+            lambda: estimate_extension(AffinePower(1.0, -0.3, 0.5), ExponentPair(-1.0, 1.0)),
+            GRID,
+            lambda ivs, scores: any(iv.lo < 0.0 < iv.hi for iv in ivs),
+        ),
         (
             lambda: generic._halfline_2d(ExpDecay(1.0), ExponentPair(1.0, 2.0)),
             GRID,
@@ -337,7 +458,14 @@ def _inner_knots(iv: Interval) -> int:
             ),
         ),
     ],
-    ids=["pow-eps", "affpow-regular", "affpow-singular", "expdecay-2d", "table-polish"],
+    ids=[
+        "pow-eps",
+        "affpow-regular",
+        "affpow-singular",
+        "affpow-singular-offset",
+        "expdecay-2d",
+        "table-polish",
+    ],
 )
 def test_batched_scores_equal_scalar_loop(monkeypatch, search, grid, covers):
     # Every batch a search scores (slices of the seed grid, then each
@@ -348,8 +476,8 @@ def test_batched_scores_equal_scalar_loop(monkeypatch, search, grid, covers):
     batches = []
     scored = generic._scored_ratios
 
-    def recording(f, lo, hi, pair, tol):
-        got = scored(f, lo, hi, pair, tol)
+    def recording(f, lo, hi, pair, tol, memo=None):
+        got = scored(f, lo, hi, pair, tol, memo)
         intervals = [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
         batches.append((f, intervals, pair, tol, got))
         return got
@@ -390,13 +518,13 @@ def test_search_scores_invalid_bounds_as_minus_inf(monkeypatch):
     grids = []
     refine = generic._grid_refine
 
-    def recording(score, boxes, rtol):
+    def recording(score, boxes, rtol, least_rounds=1):
         def scored(points):
             got = score(points)
             grids.append((points, got))
             return got
 
-        return refine(scored, boxes, rtol)
+        return refine(scored, boxes, rtol, least_rounds)
 
     monkeypatch.setattr(generic, "_grid_refine", recording)
     [masked] = generic._search(BUMPY_TABLE, pair, _masked_family, [[seeds]])
@@ -467,9 +595,9 @@ def test_table_search_scores_one_pass_per_round(monkeypatch):
     sizes = []
     scored = generic._scored_ratios
 
-    def recording(f, lo, hi, pair, tol):
+    def recording(f, lo, hi, pair, tol, memo=None):
         sizes.append(len(lo))
-        return scored(f, lo, hi, pair, tol)
+        return scored(f, lo, hi, pair, tol, memo)
 
     monkeypatch.setattr(generic, "_scored_ratios", recording)
     estimate_halfline(_wavy_table(3, 360), ExponentPair(-1.0, 1.0))
@@ -586,6 +714,28 @@ def test_scan_overflow_at_a_tiny_order_is_a_numeric_error():
     tbl = SampledTable(np.array([0.5, 1.0, 2.0, 3.0]), np.array([1.0, 3.0, 0.5, 2.0]))
     with pytest.raises(NumericError, match="no window of the table has finite means"):
         estimate_halfline(tbl, ExponentPair(5e-324, 1.0))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5])
+def test_affine_power_without_offset_is_searched_as_a_power(scale):
+    # A mean ratio does not change under f -> a*f, so a*x**gamma gets the
+    # searches of x**gamma, bit for bit.
+    pair, f, g = ExponentPair(1.0, 2.0), AffinePower(scale, -0.3, 0.0), PowerLaw(-0.3)
+    assert estimate_halfline(f, pair) == estimate_halfline(g, pair)
+    assert estimate_extension(f, pair) == estimate_extension(g, pair)
+    assert extension_ratio(f, pair) == extension_ratio(g, pair)
+
+
+@pytest.mark.parametrize(
+    "search", [estimate_halfline, estimate_extension, extension_ratio], ids=lambda s: s.__name__
+)
+def test_affine_power_without_offset_keeps_its_errors(search):
+    pair = ExponentPair(1.0, 2.0)
+    with pytest.raises(DomainError, match=r"^f\*\*2 is not summable at the origin;"):
+        search(AffinePower(2.0, -0.6, 0.0), pair)
+    if search is not estimate_halfline:
+        with pytest.raises(DomainError, match="^input is already an even extension$"):
+            search(EvenExtensionView(AffinePower(2.0, 0.5, 0.0)), pair)
 
 
 def test_table_extension_is_rejected():
